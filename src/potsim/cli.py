@@ -87,7 +87,10 @@ def _parse_pair(text: str, flag: str) -> tuple[float, float]:
     parts = text.split(",")
     if len(parts) != 2:
         raise UsageError(f"{flag} expects LO,HI, got {text!r}")
-    return float(parts[0]), float(parts[1])
+    try:
+        return float(parts[0]), float(parts[1])
+    except ValueError as exc:
+        raise UsageError(f"{flag} expects two numbers, got {text!r}") from exc
 
 
 def _parse_int_list(text: str, flag: str) -> tuple[int, ...]:
@@ -153,19 +156,13 @@ def _load_config_file(path: str) -> dict:
     if unknown:
         raise UsageError(f"config file {path} has unknown keys: {sorted(unknown)}")
     for key in ("perf_range", "multiplier_range", "high_perf_override"):
-        if data.get(key) is not None:
+        if isinstance(data.get(key), list):
             data[key] = tuple(data[key])
     return data
 
 
 def _effective_config(args: argparse.Namespace) -> ScenarioConfig:
-    fields = {
-        "participant_count": 1600,
-        "team_size": 1,
-        "rounds": 1600,
-        "runs": 100,
-        "master_seed": DEFAULT_MASTER_SEED,
-    }
+    fields = dict(PAPER_DEFAULTS, high_perf_override=None)
     if args.config:
         fields.update(_load_config_file(args.config))
     if args.paper_defaults:
@@ -188,9 +185,11 @@ def _effective_config(args: argparse.Namespace) -> ScenarioConfig:
     if args.mult_range is not None:
         fields["multiplier_range"] = _parse_pair(args.mult_range, "--mult-range")
     if args.high_perf_id is not None or args.high_perf_factor is not None:
-        pid = args.high_perf_id if args.high_perf_id is not None else 1000
-        factor = args.high_perf_factor if args.high_perf_factor is not None else 2.5
-        fields["high_perf_override"] = (pid, factor)
+        pid, factor = PAPER_DEFAULTS["high_perf_override"]
+        fields["high_perf_override"] = (
+            pid if args.high_perf_id is None else args.high_perf_id,
+            factor if args.high_perf_factor is None else args.high_perf_factor,
+        )
     if args.homogeneous:
         fields["high_perf_override"] = None
     if args.shared_profile:
@@ -202,10 +201,9 @@ def _effective_config(args: argparse.Namespace) -> ScenarioConfig:
         raise UsageError(str(exc)) from exc
 
 
-def _out_dir(args: argparse.Namespace) -> Path:
-    if args.out:
-        return Path(args.out)
-    return Path(os.environ.get(OUT_DIR_ENV, DEFAULT_OUT_DIR))
+def _out_dir(flag: str | None) -> Path:
+    """The --out/--from directory, else $POTSIM_OUT, else potsim_out."""
+    return Path(flag or os.environ.get(OUT_DIR_ENV, DEFAULT_OUT_DIR))
 
 
 def build_parser() -> _Parser:
@@ -251,7 +249,7 @@ def parse_and_validate(arguments: list[str]) -> CliInvocation:
     args = build_parser().parse_args(arguments)
 
     if args.subcommand == "report":
-        from_dir = Path(args.from_dir) if args.from_dir else _out_dir_default()
+        from_dir = _out_dir(args.from_dir)
         out_dir = Path(args.out) if args.out else from_dir
         tables = TABLE_IDS if args.table == "all" else (args.table,)
         return CliInvocation(
@@ -261,7 +259,7 @@ def parse_and_validate(arguments: list[str]) -> CliInvocation:
     config = _effective_config(args)
     if args.threads < 1:
         raise UsageError(f"--threads must be at least 1, got {args.threads}")
-    out_dir = _out_dir(args)
+    out_dir = _out_dir(args.out)
 
     if args.subcommand == "run":
         return CliInvocation(
@@ -295,10 +293,6 @@ def parse_and_validate(arguments: list[str]) -> CliInvocation:
     )
 
 
-def _out_dir_default() -> Path:
-    return Path(os.environ.get(OUT_DIR_ENV, DEFAULT_OUT_DIR))
-
-
 def _cmd_run(invocation: CliInvocation) -> int:
     config = invocation.config
     runs = execute_runs(config, workers=invocation.threads)
@@ -324,11 +318,8 @@ def _cmd_sweep(invocation: CliInvocation) -> int:
     invocation.out_dir.mkdir(parents=True, exist_ok=True)
     write_bundle(invocation.out_dir, "sweep", summaries, invocation.sweep.base_config)
     for summary in summaries:
-        condition = (
-            "high_perf" if summary.config_echo.high_perf_override is not None else "homogeneous"
-        )
         print(
-            f"{summary_label(summary):<10} {condition:<12} "
+            f"{summary_label(summary):<10} {summary.condition.value:<12} "
             f"std {summary.reward_stats.std_dev:>8.2f}  "
             f"time {summary.total_active_time_mean / 1e6:>9.2f}e6 s"
         )

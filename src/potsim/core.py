@@ -4,16 +4,25 @@ Participants are randomly partitioned into teams each round. Every member
 works a fixed share of the team's base round time, sped up or slowed down by
 a per-participant performance factor and a fresh per-round multiplier:
 
-    simulated time = work time * multiplier / performance factor
+    member time = (base_time / team_size) * multiplier / performance factor
 
-A team's completion time is the sum of its members' simulated times
-(members contribute sequentially), and the fastest team wins the round's
-fixed reward, split equally among its members. Team size 1 reduces to
-classic individual proof-of-work racing.
+A team's completion time is the sum of its members' times (members
+contribute sequentially), and the fastest team wins the round's fixed
+reward, split equally among its members. Team size 1 reduces to classic
+individual proof-of-work racing.
+
+There is one engine path: ``run_simulation`` calls ``execute_round`` once
+per round, which calls ``form_teams``. Rounds return plain arrays and the
+run accumulates wins and member times; rewards are built from the win
+counts at the end of the run. The two round functions stay separate and are
+looked up through this module's globals, so the benchmark's tracer
+(``perfbench/tracing.py``) can wrap them by name.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +32,11 @@ DEFAULT_MASTER_SEED = 42
 
 class ConfigurationError(ValueError):
     """A scenario configuration violates one of its invariants."""
+
+
+def _require(condition: bool, message: str) -> None:
+    if not condition:
+        raise ConfigurationError(message)
 
 
 @dataclass(frozen=True)
@@ -51,50 +65,70 @@ class ScenarioConfig:
     redraw_profile_per_run: bool = True
 
     def __post_init__(self) -> None:
-        if self.participant_count < 1:
-            raise ConfigurationError(
-                f"participant_count must be positive, got {self.participant_count}"
+        # Counts, ids and the seed must be true integers (a JSON 2.0 or true
+        # is rejected) and every real must be finite, so a bad config file
+        # or flag stops here with one message instead of deep in numpy.
+        override = self.high_perf_override
+        ranges = {"perf_range": self.perf_range, "multiplier_range": self.multiplier_range}
+        pairs = ranges if override is None else dict(ranges, high_perf_override=override)
+        for name, pair in pairs.items():
+            _require(
+                isinstance(pair, (tuple, list)) and len(pair) == 2,
+                f"{name} must be a pair, got {pair!r}",
             )
-        if self.team_size < 1:
-            raise ConfigurationError(f"team_size must be positive, got {self.team_size}")
-        if self.participant_count % self.team_size != 0:
-            raise ConfigurationError(
-                f"participant count {self.participant_count} is not divisible "
-                f"by team size {self.team_size}"
+        integers = {
+            "participant_count": self.participant_count,
+            "team_size": self.team_size,
+            "rounds": self.rounds,
+            "runs": self.runs,
+            "master_seed": self.master_seed,
+        }
+        reals = {"base_time": self.base_time, "reward_per_round": self.reward_per_round}
+        for name, (lo, hi) in ranges.items():
+            reals[f"{name} lo"], reals[f"{name} hi"] = lo, hi
+        if override is not None:
+            integers["high_perf_override id"], reals["high_perf_override factor"] = override
+        for name, value in integers.items():
+            _require(
+                isinstance(value, numbers.Integral) and not isinstance(value, bool),
+                f"{name} must be an integer, got {value!r}",
             )
-        if self.rounds < 0:
-            raise ConfigurationError(f"rounds must be non-negative, got {self.rounds}")
-        if self.runs < 0:
-            raise ConfigurationError(f"runs must be non-negative, got {self.runs}")
-        if self.base_time <= 0:
-            raise ConfigurationError(f"base_time must be positive, got {self.base_time}")
-        if self.reward_per_round <= 0:
-            raise ConfigurationError(
-                f"reward_per_round must be positive, got {self.reward_per_round}"
+        for name, value in reals.items():
+            _require(
+                isinstance(value, numbers.Real)
+                and not isinstance(value, bool)
+                and math.isfinite(value),
+                f"{name} must be a finite number, got {value!r}",
             )
-        for name, (lo, hi) in (
-            ("perf_range", self.perf_range),
-            ("multiplier_range", self.multiplier_range),
-        ):
-            if not (0 < lo <= hi):
-                raise ConfigurationError(
-                    f"{name} must satisfy 0 < lo <= hi, got [{lo}, {hi}]"
-                )
-        if self.high_perf_override is not None:
-            pid, factor = self.high_perf_override
-            if not 0 <= pid < self.participant_count:
-                raise ConfigurationError(
-                    f"high_perf_override id {pid} outside population of "
-                    f"{self.participant_count}"
-                )
-            if factor <= 0:
-                raise ConfigurationError(
-                    f"high_perf_override factor must be positive, got {factor}"
-                )
-        if not 0 <= self.master_seed < (1 << 64):
-            raise ConfigurationError(
-                f"master_seed must be a 64-bit unsigned integer, got {self.master_seed}"
-            )
+        _require(
+            isinstance(self.redraw_profile_per_run, bool),
+            f"redraw_profile_per_run must be true or false, got {self.redraw_profile_per_run!r}",
+        )
+
+        n = self.participant_count
+        _require(n >= 1, f"participant_count must be positive, got {n}")
+        _require(self.team_size >= 1, f"team_size must be positive, got {self.team_size}")
+        _require(
+            n % self.team_size == 0,
+            f"participant count {n} is not divisible by team size {self.team_size}",
+        )
+        _require(self.rounds >= 0, f"rounds must be non-negative, got {self.rounds}")
+        _require(self.runs >= 0, f"runs must be non-negative, got {self.runs}")
+        _require(self.base_time > 0, f"base_time must be positive, got {self.base_time}")
+        _require(
+            self.reward_per_round > 0,
+            f"reward_per_round must be positive, got {self.reward_per_round}",
+        )
+        for name, (lo, hi) in ranges.items():
+            _require(0 < lo <= hi, f"{name} must satisfy 0 < lo <= hi, got [{lo}, {hi}]")
+        if override is not None:
+            pid, factor = override
+            _require(0 <= pid < n, f"high_perf_override id {pid} outside population of {n}")
+            _require(factor > 0, f"high_perf_override factor must be positive, got {factor}")
+        _require(
+            0 <= self.master_seed < (1 << 64),
+            f"master_seed must be a 64-bit unsigned integer, got {self.master_seed}",
+        )
 
     @property
     def team_count(self) -> int:
@@ -103,7 +137,7 @@ class ScenarioConfig:
     @property
     def work_time(self) -> float:
         """Each member's nominal share of a round, base_time / team_size."""
-        return member_work_time(self.base_time, self.team_size)
+        return self.base_time / self.team_size
 
 
 @dataclass(frozen=True)
@@ -111,35 +145,6 @@ class PerformanceProfile:
     """Per-participant performance factors for one run, indexed by id."""
 
     factors: np.ndarray
-
-
-@dataclass(frozen=True)
-class TeamAssignment:
-    """One round's partition of participants into equal-size teams.
-
-    ``teams`` has shape (team_count, team_size); row t lists team t's members.
-    """
-
-    teams: np.ndarray
-
-    @property
-    def team_count(self) -> int:
-        return self.teams.shape[0]
-
-    @property
-    def team_size(self) -> int:
-        return self.teams.shape[1]
-
-
-@dataclass(frozen=True)
-class RoundOutcome:
-    """One round's team times, winner, member times, and reward deltas."""
-
-    assignment: TeamAssignment
-    team_times: np.ndarray
-    winner: int
-    member_times: np.ndarray
-    reward_delta: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -176,11 +181,12 @@ def draw_performance_profile(
 
 def form_teams(
     participant_count: int, team_size: int, stream: np.random.Generator
-) -> TeamAssignment:
+) -> np.ndarray:
     """Randomly partition participants into consecutive chunks of a shuffle.
 
     A uniformly random permutation of all ids is cut into team_size chunks,
-    so the assignment is an exact partition by construction.
+    so the result is an exact partition by construction: a read-only
+    (team_count, team_size) id array whose row t lists team t's members.
     """
     if team_size < 1 or participant_count % team_size != 0:
         raise ConfigurationError(
@@ -190,50 +196,27 @@ def form_teams(
     order = stream.permutation(participant_count)
     teams = order.reshape(participant_count // team_size, team_size)
     teams.flags.writeable = False
-    return TeamAssignment(teams=teams)
-
-
-def member_work_time(base_time: float, team_size: int) -> float:
-    """Nominal per-member work share of one round: base_time / team_size."""
-    return base_time / team_size
-
-
-def simulated_time(work_time: float, multiplier: float, performance_factor: float) -> float:
-    """Actual processing time: work_time * multiplier / performance_factor."""
-    if performance_factor <= 0:
-        raise ValueError(
-            f"performance factor must be positive, got {performance_factor}"
-        )
-    return work_time * multiplier / performance_factor
+    return teams
 
 
 def execute_round(
     profile: PerformanceProfile, config: ScenarioConfig, stream: np.random.Generator
-) -> RoundOutcome:
-    """Play one round: form teams, race, award the fastest team.
+) -> tuple[np.ndarray, int, np.ndarray]:
+    """Play one round; return (teams, winning team index, member times).
 
     Stream consumption order is fixed: one permutation for team formation,
-    then one multiplier per participant (indexed by id). Each member's time
-    follows the simulated_time formula; a team's time is the sum over its
-    members; the winner is the argmin team index, which also breaks the
-    measure-zero ties toward the lowest index.
+    then one multiplier per participant (indexed by id). Member times are
+    indexed by participant id; a team's time is the sum over its members;
+    the winner is the argmin team index, which also breaks the measure-zero
+    ties toward the lowest index. The winning team's members are
+    ``teams[winner]``.
     """
-    n = config.participant_count
-    assignment = form_teams(n, config.team_size, stream)
+    teams = form_teams(config.participant_count, config.team_size, stream)
     lo, hi = config.multiplier_range
-    multipliers = stream.uniform(lo, hi, n)
+    multipliers = stream.uniform(lo, hi, config.participant_count)
     member_times = config.work_time * multipliers / profile.factors
-    team_times = member_times[assignment.teams].sum(axis=1)
-    winner = int(np.argmin(team_times))
-    reward_delta = np.zeros(n)
-    reward_delta[assignment.teams[winner]] = config.reward_per_round / config.team_size
-    return RoundOutcome(
-        assignment=assignment,
-        team_times=team_times,
-        winner=winner,
-        member_times=member_times,
-        reward_delta=reward_delta,
-    )
+    winner = int(np.argmin(member_times[teams].sum(axis=1)))
+    return teams, winner, member_times
 
 
 def run_simulation(
@@ -260,10 +243,9 @@ def run_simulation(
     win_count = np.zeros(n, dtype=np.int64)
     active_time = np.zeros(n)
     for _ in range(config.rounds):
-        outcome = execute_round(profile, config, stream)
-        winners = outcome.assignment.teams[outcome.winner]
-        win_count[winners] += 1
-        active_time += outcome.member_times
+        teams, winner, member_times = execute_round(profile, config, stream)
+        win_count[teams[winner]] += 1
+        active_time += member_times
 
     # Built from win counts so reward == share * wins holds bit-exactly.
     cumulative_reward = (config.reward_per_round / config.team_size) * win_count

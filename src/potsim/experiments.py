@@ -114,6 +114,12 @@ class ScenarioSummary:
     total_active_time_mean: float
     ranking: RankingHistogram | None = None
 
+    @property
+    def condition(self) -> Condition:
+        if self.config_echo.high_perf_override is None:
+            return Condition.HOMOGENEOUS
+        return Condition.HIGH_PERF
+
 
 def _run_task(task: tuple[ScenarioConfig, int, np.ndarray | None]) -> RunResult:
     config, seed, shared_factors = task

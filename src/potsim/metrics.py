@@ -108,14 +108,10 @@ def pearson_correlation(x, y) -> float:
     return float((dx * dy).mean()) / (sx * sy)
 
 
-def competition_rank(rewards, participant: int) -> int:
-    """Standard competition rank: 1 + number of strictly richer participants."""
+def competition_ranks(rewards) -> np.ndarray:
+    """Standard competition ranks: 1 + number of strictly richer participants."""
     arr = _as_float_array(rewards)
-    if not 0 <= participant < arr.size:
-        raise ValueError(
-            f"participant id {participant} outside population of {arr.size}"
-        )
-    return 1 + int((arr > arr[participant]).sum())
+    return 1 + np.searchsorted(-np.sort(arr)[::-1], -arr, side="left")
 
 
 def ranking_histogram(runs: Sequence, participant: int) -> RankingHistogram:
@@ -125,7 +121,10 @@ def ranking_histogram(runs: Sequence, participant: int) -> RankingHistogram:
     counts = {rank: 0 for rank in RANK_BUCKETS}
     overflow = 0
     for run in runs:
-        rank = competition_rank(run.cumulative_reward, participant)
+        size = len(run.cumulative_reward)
+        if not 0 <= participant < size:
+            raise ValueError(f"participant id {participant} outside population of {size}")
+        rank = int(competition_ranks(run.cumulative_reward)[participant])
         if rank in counts:
             counts[rank] += 1
         else:

@@ -20,13 +20,14 @@ from typing import IO, Sequence
 import numpy as np
 
 from .core import RunResult, ScenarioConfig
-from .experiments import ScenarioSummary
+from .experiments import Condition, ScenarioSummary
 from .metrics import (
     OVERFLOW_BUCKET,
     RANK_BUCKETS,
     DistStats,
     RankingHistogram,
     ShapeStats,
+    competition_ranks,
 )
 
 TOOL_NAME = "potsim"
@@ -118,13 +119,8 @@ def _fmt(value: float) -> str:
     return format(float(value), ".6g")
 
 
-def _competition_ranks(rewards: np.ndarray) -> np.ndarray:
-    desc = np.sort(rewards)[::-1]
-    return 1 + np.searchsorted(-desc, -rewards, side="left")
-
-
 def _csv_rows(run: RunResult, run_id: int) -> list[str]:
-    ranks = _competition_ranks(run.cumulative_reward)
+    ranks = competition_ranks(run.cumulative_reward)
     rows = []
     for pid in range(len(run.cumulative_reward)):
         rows.append(
@@ -133,21 +129,6 @@ def _csv_rows(run: RunResult, run_id: int) -> list[str]:
             f"{_fmt(run.active_time[pid])},{int(ranks[pid])}"
         )
     return rows
-
-
-def write_participant_csv(run: RunResult, destination: IO[bytes], run_id: int = 0) -> int:
-    """Write one run as UTF-8 CSV (header + one row per participant).
-
-    Returns the number of data rows written. Output is byte-identical for
-    identical runs. On a write failure the sink may hold partial output.
-    """
-    try:
-        destination.write((CSV_HEADER + "\n").encode("utf-8"))
-        for row in _csv_rows(run, run_id):
-            destination.write((row + "\n").encode("utf-8"))
-    except OSError as exc:
-        raise OSError(f"participant CSV write failed (output may be partial): {exc}") from exc
-    return len(run.cumulative_reward)
 
 
 def write_runs_csv(runs: Sequence[RunResult], destination: IO[bytes]) -> int:
@@ -166,22 +147,9 @@ def write_runs_csv(runs: Sequence[RunResult], destination: IO[bytes]) -> int:
 
 def read_participant_csv(source: IO[bytes]) -> list[dict]:
     """Parse a participant CSV back into per-row dicts (inverse of the writer)."""
-    text = source.read().decode("utf-8").splitlines()
-    reader = csv.DictReader(text)
-    rows = []
-    for record in reader:
-        rows.append(
-            {
-                "run_id": int(record["run_id"]),
-                "participant_id": int(record["participant_id"]),
-                "performance_factor": float(record["performance_factor"]),
-                "reward": float(record["reward"]),
-                "wins": int(record["wins"]),
-                "active_time_seconds": float(record["active_time_seconds"]),
-                "rank": int(record["rank"]),
-            }
-        )
-    return rows
+    types = dict(zip(CSV_HEADER.split(","), (int, int, float, float, int, float, int)))
+    reader = csv.DictReader(source.read().decode("utf-8").splitlines())
+    return [{key: cast(record[key]) for key, cast in types.items()} for record in reader]
 
 
 def emit_reward_histogram(source, bin_width: float) -> list[tuple[float, int]]:
@@ -212,7 +180,7 @@ def _select_summaries(summaries: Sequence[ScenarioSummary], which: str) -> list[
                 "ranking table requires at least one high_perf scenario summary"
             )
     else:
-        homogeneous = [s for s in summaries if s.config_echo.high_perf_override is None]
+        homogeneous = [s for s in summaries if s.condition is Condition.HOMOGENEOUS]
         chosen = homogeneous or list(summaries)
     chosen = sorted(chosen, key=lambda s: s.config_echo.team_size)
     labels = [summary_label(s) for s in chosen]
@@ -262,23 +230,11 @@ def emit_table(summaries: Sequence[ScenarioSummary], which: str) -> dict:
     for s in chosen:
         label = summary_label(s)
         if which == "rewards":
-            stats = s.reward_stats
-            values = {
-                "mean": stats.mean,
-                "std_dev": stats.std_dev,
-                "min": stats.min,
-                "p25": stats.p25,
-                "median": stats.median,
-                "p75": stats.p75,
-                "max": stats.max,
-            }
+            values = dataclasses.asdict(s.reward_stats)
         elif which == "energy":
             values = {"total_active_time_1e6_s": s.total_active_time_mean / 1e6}
         elif which == "shape":
-            values = {
-                "skewness": s.shape_stats.skewness,
-                "excess_kurtosis": s.shape_stats.excess_kurtosis,
-            }
+            values = dataclasses.asdict(s.shape_stats)
         else:
             values = {"correlation": s.correlation}
         row: dict = {"scenario": label, **values}
@@ -373,12 +329,9 @@ def summary_to_dict(summary: ScenarioSummary) -> dict:
     if summary.ranking is not None:
         ranking = {str(r): summary.ranking.counts[r] for r in RANK_BUCKETS}
         ranking[OVERFLOW_BUCKET] = summary.ranking.eleven_or_lower
-    condition = (
-        "high_perf" if summary.config_echo.high_perf_override is not None else "homogeneous"
-    )
     return {
         "label": summary_label(summary),
-        "condition": condition,
+        "condition": summary.condition.value,
         "config": config_to_dict(summary.config_echo),
         "reward_stats": dataclasses.asdict(summary.reward_stats),
         "shape_stats": dataclasses.asdict(summary.shape_stats),
@@ -407,10 +360,7 @@ def summary_from_dict(data: dict) -> ScenarioSummary:
 
 
 def _summary_filename(summary: ScenarioSummary) -> str:
-    condition = (
-        "high_perf" if summary.config_echo.high_perf_override is not None else "homogeneous"
-    )
-    return f"{condition}_n{summary.config_echo.team_size:03d}.json"
+    return f"{summary.condition.value}_n{summary.config_echo.team_size:03d}.json"
 
 
 def _dump_json(path: Path, payload: dict) -> None:

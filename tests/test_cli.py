@@ -259,3 +259,39 @@ def test_main_requires_validated_invocation(tmp_path):
     invocation = CliInvocation(subcommand="report", tables=("energy",), from_dir=tmp_path, out_dir=tmp_path)
     with pytest.raises(FileNotFoundError):
         main(invocation)
+
+
+BAD_CONFIG_FILES = [
+    {"team_size": 2.0},
+    {"rounds": 2.5},
+    {"runs": 2.0},
+    {"high_perf_override": [1000.0, 2.5]},
+    {"master_seed": True},
+    {"base_time": "600"},
+    {"perf_range": 5},
+    {"high_perf_override": [1, 2.5, 3]},
+    {"redraw_profile_per_run": 0},
+]
+BAD_FLAGS = [
+    ["--perf-range", "0.8,inf"],
+    ["--perf-range", "a,b"],
+    ["--base-time", "nan"],
+    ["--reward", "inf"],
+    ["--high-perf-factor", "nan"],
+]
+
+
+@pytest.mark.parametrize(
+    "config, flags",
+    [(c, []) for c in BAD_CONFIG_FILES] + [({}, f) for f in BAD_FLAGS],
+    ids=[json.dumps(c) for c in BAD_CONFIG_FILES] + [" ".join(f) for f in BAD_FLAGS],
+)
+def test_bad_config_input_exits_1_with_one_line(tmp_path, capsys, config, flags):
+    config_file = tmp_path / "config.json"
+    config_file.write_text(json.dumps({"rounds": 2, "runs": 1, **config}))
+    argv = ["run", "--config", str(config_file), *flags, "--out", str(tmp_path / "out")]
+    assert entrypoint(argv) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert not (tmp_path / "out").exists()

@@ -14,9 +14,7 @@ from potsim import (
     draw_performance_profile,
     execute_round,
     form_teams,
-    member_work_time,
     run_simulation,
-    simulated_time,
 )
 
 
@@ -92,15 +90,16 @@ def test_sample_mean_matches_uniform_expectation():
 
 
 def test_form_teams_partitions_population():
-    assignment = form_teams(4, 2, np.random.default_rng(0))
-    assert assignment.teams.shape == (2, 2)
-    assert sorted(assignment.teams.ravel().tolist()) == [0, 1, 2, 3]
+    teams = form_teams(4, 2, np.random.default_rng(0))
+    assert teams.shape == (2, 2)
+    assert not teams.flags.writeable
+    assert sorted(teams.ravel().tolist()) == [0, 1, 2, 3]
 
 
 def test_form_teams_singletons():
-    assignment = form_teams(4, 1, np.random.default_rng(0))
-    assert assignment.teams.shape == (4, 1)
-    assert sorted(assignment.teams.ravel().tolist()) == [0, 1, 2, 3]
+    teams = form_teams(4, 1, np.random.default_rng(0))
+    assert teams.shape == (4, 1)
+    assert sorted(teams.ravel().tolist()) == [0, 1, 2, 3]
 
 
 def test_form_teams_rejects_indivisible():
@@ -112,30 +111,45 @@ def test_form_teams_rejects_indivisible():
 @given(st.integers(1, 12), st.integers(1, 8), st.integers(0, 2**32 - 1))
 def test_form_teams_partition_property(teams, size, seed):
     n = teams * size
-    assignment = form_teams(n, size, np.random.default_rng(seed))
-    assert sorted(assignment.teams.ravel().tolist()) == list(range(n))
+    teams = form_teams(n, size, np.random.default_rng(seed))
+    assert sorted(teams.ravel().tolist()) == list(range(n))
 
 
 # -- time formulas ---------------------------------------------------------------
 
 
-def test_member_work_time_values():
-    assert member_work_time(600, 1) == 600
-    assert member_work_time(600, 64) == 9.375
-    assert member_work_time(600, 8) == 75
+def test_work_time_values():
+    assert config(participant_count=64, team_size=1).work_time == 600
+    assert config(participant_count=64, team_size=64).work_time == 9.375
+    assert config(participant_count=64, team_size=8).work_time == 75
 
 
-def test_simulated_time_values():
-    assert simulated_time(300, 1.0, 1.0) == 300
-    assert simulated_time(600, 0.8, 2.5) == 192
-    assert simulated_time(9.375, 1.2, 0.8) == 14.0625
+def test_member_times_pinned_values(pinned_stream):
+    # member time = work time * multiplier / factor, indexed by participant id.
+    pow_cfg = config(participant_count=2, team_size=1, base_time=600.0)
+    profile = PerformanceProfile(factors=np.array([2.5, 1.0]))
+    _, _, member_times = execute_round(profile, pow_cfg, pinned_stream([1, 0], [0.8, 1.0]))
+    assert member_times.tolist() == [192.0, 600.0]
+    big_cfg = config(participant_count=64, team_size=64)
+    factors = np.full(64, 1.0)
+    factors[0] = 0.8
+    multipliers = np.full(64, 1.0)
+    multipliers[0] = 1.2
+    _, _, member_times = execute_round(
+        PerformanceProfile(factors=factors), big_cfg, pinned_stream(range(64), multipliers)
+    )
+    assert member_times[0] == 14.0625
+    assert member_times[1] == 9.375
 
 
-def test_simulated_time_rejects_nonpositive_factor():
-    with pytest.raises(ValueError, match="positive"):
-        simulated_time(300, 1.0, 0.0)
-    with pytest.raises(ValueError, match="positive"):
-        simulated_time(300, 1.0, -2.0)
+def test_config_rejects_nonpositive_factors():
+    # The engine divides by the factors; only a positive perf_range and a
+    # positive override factor reach it.
+    for bad in (0.0, -2.0):
+        with pytest.raises(ConfigurationError, match="perf_range"):
+            config(perf_range=(bad, 1.5))
+        with pytest.raises(ConfigurationError, match="factor must be positive"):
+            config(high_perf_override=(0, bad))
 
 
 # -- execute_round ----------------------------------------------------------------
@@ -145,47 +159,45 @@ def test_execute_round_pinned_example(pinned_stream):
     cfg = config()
     profile = PerformanceProfile(factors=np.array([1.0, 1.0, 1.0, 2.0]))
     stream = pinned_stream([0, 1, 2, 3], [1.0, 1.0, 1.0, 1.0])
-    outcome = execute_round(profile, cfg, stream)
-    assert outcome.team_times.tolist() == [600.0, 450.0]
-    assert outcome.winner == 1
-    assert outcome.reward_delta.tolist() == [0.0, 0.0, 5.0, 5.0]
-    assert outcome.member_times.sum() == 1050.0
+    teams, winner, member_times = execute_round(profile, cfg, stream)
+    assert teams.tolist() == [[0, 1], [2, 3]]
+    assert winner == 1
+    assert member_times.tolist() == [300.0, 300.0, 300.0, 150.0]
 
 
 def test_execute_round_reward_sum_is_reward_per_round():
-    cfg = config(participant_count=60, team_size=6)
-    profile = draw_performance_profile(cfg, np.random.default_rng(5))
-    outcome = execute_round(profile, cfg, np.random.default_rng(6))
-    assert abs(outcome.reward_delta.sum() - 10.0) < 1e-9
+    # One round's reward goes to the winning team's members, share each.
+    cfg = config(participant_count=60, team_size=6, rounds=1)
+    result = run_simulation(cfg, run_seed=6)
+    assert result.win_count.sum() == cfg.team_size
+    assert abs(result.cumulative_reward.sum() - 10.0) < 1e-9
 
 
 def test_execute_round_pow_winner_is_fastest(pinned_stream):
     cfg = config(participant_count=2, team_size=1)
     profile = PerformanceProfile(factors=np.array([1.0, 1.0]))
-    outcome = execute_round(profile, cfg, pinned_stream([0, 1], [0.9, 1.1]))
-    assert outcome.winner == 0
-    assert outcome.reward_delta.tolist() == [10.0, 0.0]
+    teams, winner, _ = execute_round(profile, cfg, pinned_stream([0, 1], [0.9, 1.1]))
+    assert winner == 0
+    assert teams[winner].tolist() == [0]
 
 
 def test_execute_round_team_time_is_member_sum():
     cfg = config(participant_count=30, team_size=5)
     profile = draw_performance_profile(cfg, np.random.default_rng(8))
-    outcome = execute_round(profile, cfg, np.random.default_rng(9))
-    teams = outcome.assignment.teams
-    expected = [outcome.member_times[team].sum() for team in teams]
-    assert np.allclose(outcome.team_times, expected, rtol=0, atol=1e-12)
-    assert outcome.winner == int(np.argmin(outcome.team_times))
+    teams, winner, member_times = execute_round(profile, cfg, np.random.default_rng(9))
+    team_times = [math.fsum(member_times[team]) for team in teams]
+    assert abs(team_times[winner] - min(team_times)) <= 1e-9
 
 
 def test_execute_round_member_times_within_bounds():
     cfg = config(participant_count=40, team_size=4)
     profile = draw_performance_profile(cfg, np.random.default_rng(10))
-    outcome = execute_round(profile, cfg, np.random.default_rng(11))
+    _, _, member_times = execute_round(profile, cfg, np.random.default_rng(11))
     work = cfg.base_time / cfg.team_size
     lo = work * 0.8 / profile.factors.max()
     hi = work * 1.2 / profile.factors.min()
-    assert outcome.member_times.min() >= lo - 1e-12
-    assert outcome.member_times.max() <= hi + 1e-12
+    assert member_times.min() >= lo - 1e-12
+    assert member_times.max() <= hi + 1e-12
 
 
 @settings(max_examples=25, deadline=None)
@@ -196,9 +208,9 @@ def test_winner_invariant_under_time_scaling(seed, scale):
     cfg = config(participant_count=24, team_size=4, base_time=600.0)
     scaled = config(participant_count=24, team_size=4, base_time=600.0 * scale)
     profile = draw_performance_profile(cfg, np.random.default_rng(seed))
-    outcome = execute_round(profile, cfg, np.random.default_rng(seed + 1))
-    outcome_scaled = execute_round(profile, scaled, np.random.default_rng(seed + 1))
-    assert outcome.winner == outcome_scaled.winner
+    _, winner, _ = execute_round(profile, cfg, np.random.default_rng(seed + 1))
+    _, winner_scaled, _ = execute_round(profile, scaled, np.random.default_rng(seed + 1))
+    assert winner == winner_scaled
 
 
 # -- run_simulation ----------------------------------------------------------------

@@ -12,14 +12,13 @@ from potsim import (
     DistStats,
     ShapeStats,
     aggregate_stats_over_runs,
-    competition_rank,
     distribution_stats,
     excess_kurtosis,
     pearson_correlation,
     ranking_histogram,
     skewness,
 )
-from potsim.metrics import RankingHistogram
+from potsim.metrics import RankingHistogram, competition_ranks
 
 finite_floats = st.floats(-100, 100, allow_nan=False, allow_infinity=False)
 # Rounded values with a minimum spread, so variances cannot underflow to zero.
@@ -160,14 +159,16 @@ def test_correlation_bounded(pairs):
 
 
 def test_competition_rank_examples():
-    assert competition_rank([10, 5, 5], 0) == 1
-    assert competition_rank([10, 5, 5], 2) == 2
-    assert competition_rank([7, 7, 7], 1) == 1
+    assert competition_ranks([10, 5, 5]).tolist() == [1, 2, 2]
+    assert competition_ranks([7, 7, 7]).tolist() == [1, 1, 1]
+    assert competition_ranks([1, 9, 4, 9]).tolist() == [4, 1, 3, 1]
 
 
 def test_competition_rank_rejects_bad_id():
     with pytest.raises(ValueError, match="participant id"):
-        competition_rank([1, 2, 3], 3)
+        ranking_histogram([FakeRun([1, 2, 3])], 3)
+    with pytest.raises(ValueError, match="participant id"):
+        ranking_histogram([FakeRun([1, 2, 3])], -1)
 
 
 def test_ranking_histogram_always_first():

@@ -15,7 +15,6 @@ from potsim import (
     run_simulation,
     scenario_label,
     summarize_runs,
-    write_participant_csv,
 )
 from potsim.experiments import Condition, SweepSpec, sweep_team_sizes
 from potsim.reporting import (
@@ -57,7 +56,7 @@ def sweep_summaries(conditions=(Condition.HOMOGENEOUS,), team_sizes=(1, 2, 4)):
 def test_csv_header_and_row_count():
     _, run = small_run()
     sink = io.BytesIO()
-    assert write_participant_csv(run, sink) == 4
+    assert write_runs_csv([run], sink) == 4
     lines = sink.getvalue().decode("utf-8").splitlines()
     assert lines[0] == CSV_HEADER
     assert lines[0] == "run_id,participant_id,performance_factor,reward,wins,active_time_seconds,rank"
@@ -67,7 +66,7 @@ def test_csv_header_and_row_count():
 def test_csv_zero_rounds_all_tied_at_rank_one():
     _, run = small_run(rounds=0)
     sink = io.BytesIO()
-    write_participant_csv(run, sink)
+    write_runs_csv([run], sink)
     rows = read_participant_csv(io.BytesIO(sink.getvalue()))
     assert all(row["reward"] == 0 for row in rows)
     assert all(row["rank"] == 1 for row in rows)
@@ -76,18 +75,18 @@ def test_csv_zero_rounds_all_tied_at_rank_one():
 def test_csv_reemission_byte_identical():
     _, run = small_run()
     first, second = io.BytesIO(), io.BytesIO()
-    write_participant_csv(run, first)
-    write_participant_csv(run, second)
+    write_runs_csv([run], first)
+    write_runs_csv([run], second)
     assert first.getvalue() == second.getvalue()
 
 
 def test_csv_round_trip_exact_at_emitted_precision():
     _, run = small_run(rounds=25)
     sink = io.BytesIO()
-    write_participant_csv(run, sink, run_id=3)
+    write_runs_csv([run], sink)
     rows = read_participant_csv(io.BytesIO(sink.getvalue()))
     for pid, row in enumerate(rows):
-        assert row["run_id"] == 3
+        assert row["run_id"] == 0
         assert row["participant_id"] == pid
         assert row["wins"] == int(run.win_count[pid])
         assert row["reward"] == float(f"{run.cumulative_reward[pid]:.6g}")
