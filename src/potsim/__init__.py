@@ -33,7 +33,6 @@ from .metrics import (
     skewness,
 )
 from .reporting import (
-    emit_reward_histogram,
     emit_table,
     scenario_label,
 )
@@ -54,7 +53,6 @@ __all__ = [
     "derive_run_seed",
     "distribution_stats",
     "draw_performance_profile",
-    "emit_reward_histogram",
     "emit_table",
     "excess_kurtosis",
     "execute_round",

@@ -11,12 +11,22 @@ contribute sequentially), and the fastest team wins the round's fixed
 reward, split equally among its members. Team size 1 reduces to classic
 individual proof-of-work racing.
 
-There is one engine path: ``run_simulation`` calls ``execute_round`` once
-per round, which calls ``form_teams``. Rounds return plain arrays and the
-run accumulates wins and member times; rewards are built from the win
-counts at the end of the run. The two round functions stay separate and are
-looked up through this module's globals, so the benchmark's tracer
-(``perfbench/tracing.py``) can wrap them by name.
+Stream contract (v2). A run seed feeds three streams: ``default_rng(seed)``
+draws the performance profile, and the two children of
+``SeedSequence(seed).spawn(2)`` draw the multipliers and the team orders.
+Rounds are drawn in blocks: one ``uniform`` call of shape (rounds, n) and
+one ``form_teams`` call per block, where each round's order is a uniformly
+random permutation of the ids, consumed exactly as one ``permutation(n)``
+call. Team size 1 draws no order, since order cannot move an argmin over
+single members. The block length is a fixed rule of the participant count,
+and no output depends on it: the streams are read in the same sequence
+whatever the block, member times are added to the totals round by round in
+round order, and wins are integer counts.
+
+There is one engine path: ``run_simulation`` calls ``form_teams`` once per
+block and ``execute_round`` once per round. Both are looked up through this
+module's globals, so the benchmark's tracer (``perfbench/tracing.py``) can
+wrap them by name.
 """
 
 from __future__ import annotations
@@ -179,44 +189,45 @@ def draw_performance_profile(
     return PerformanceProfile(factors=factors)
 
 
-def form_teams(
-    participant_count: int, team_size: int, stream: np.random.Generator
-) -> np.ndarray:
-    """Randomly partition participants into consecutive chunks of a shuffle.
+# Elements per block of rounds; 2**14 float64 multipliers are 128 KiB.
+_BLOCK_ELEMENTS = 2**14
 
-    A uniformly random permutation of all ids is cut into team_size chunks,
-    so the result is an exact partition by construction: a read-only
-    (team_count, team_size) id array whose row t lists team t's members.
+
+def form_teams(
+    participant_count: int, team_size: int, stream: np.random.Generator, rounds: int
+) -> np.ndarray:
+    """Randomly partition participants into teams for a block of rounds.
+
+    Returns a read-only (rounds, team_size, team_count) id array: in round
+    r, column t of ``teams[r]`` lists team t's members. Each round's order is
+    a uniformly random permutation of all ids, cut into team_size rows of
+    team_count ids, so every round is an exact partition by construction.
+    Team size 1 draws nothing and returns the identity.
     """
     if team_size < 1 or participant_count % team_size != 0:
         raise ConfigurationError(
             f"participant count {participant_count} is not divisible "
             f"by team size {team_size}"
         )
-    order = stream.permutation(participant_count)
-    teams = order.reshape(participant_count // team_size, team_size)
+    ids = np.arange(participant_count)
+    if team_size == 1:
+        return np.broadcast_to(ids, (rounds, 1, participant_count))
+    teams = np.tile(ids, (rounds, 1))
+    stream.permuted(teams, axis=1, out=teams)
     teams.flags.writeable = False
-    return teams
+    return teams.reshape(rounds, team_size, participant_count // team_size)
 
 
-def execute_round(
-    profile: PerformanceProfile, config: ScenarioConfig, stream: np.random.Generator
-) -> tuple[np.ndarray, int, np.ndarray]:
-    """Play one round; return (teams, winning team index, member times).
+def execute_round(teams: np.ndarray, member_times: np.ndarray) -> int:
+    """Return the winning team index of one round.
 
-    Stream consumption order is fixed: one permutation for team formation,
-    then one multiplier per participant (indexed by id). Member times are
-    indexed by participant id; a team's time is the sum over its members;
-    the winner is the argmin team index, which also breaks the measure-zero
-    ties toward the lowest index. The winning team's members are
-    ``teams[winner]``.
+    ``teams`` is one round of ``form_teams`` (team t is column t) and
+    ``member_times`` is indexed by participant id. A team's time is the sum
+    down its column, and the winner is the argmin, which also breaks the
+    measure-zero ties toward the lowest index. The winning team's members
+    are ``teams[:, winner]``.
     """
-    teams = form_teams(config.participant_count, config.team_size, stream)
-    lo, hi = config.multiplier_range
-    multipliers = stream.uniform(lo, hi, config.participant_count)
-    member_times = config.work_time * multipliers / profile.factors
-    winner = int(np.argmin(member_times[teams].sum(axis=1)))
-    return teams, winner, member_times
+    return int(np.add.reduce(member_times.take(teams), axis=0).argmin())
 
 
 def run_simulation(
@@ -224,28 +235,43 @@ def run_simulation(
     run_seed: int,
     profile: PerformanceProfile | None = None,
 ) -> RunResult:
-    """Execute one run of config.rounds rounds from a single seeded stream.
+    """Execute one run of config.rounds rounds from one run seed.
 
-    The stream first feeds the profile draw (unless a pre-drawn profile is
-    supplied for shared-profile scenarios), then each round in sequence.
-    Identical (config, run_seed, profile) always reproduce the same result.
+    ``default_rng(run_seed)`` draws the profile (unless a pre-drawn profile
+    is supplied for shared-profile scenarios); the rounds draw from the two
+    spawned child streams, as the module docstring sets out. Identical
+    (config, run_seed, profile) always reproduce the same result.
     """
-    stream = np.random.default_rng(run_seed)
     if profile is None:
-        profile = draw_performance_profile(config, stream)
+        profile = draw_performance_profile(config, np.random.default_rng(run_seed))
     elif len(profile.factors) != config.participant_count:
         raise ConfigurationError(
             f"profile length {len(profile.factors)} does not match "
             f"participant count {config.participant_count}"
         )
+    multiplier_stream, team_stream = (
+        np.random.default_rng(child) for child in np.random.SeedSequence(run_seed).spawn(2)
+    )
 
     n = config.participant_count
+    lo, hi = config.multiplier_range
+    block = max(1, _BLOCK_ELEMENTS // n)
     win_count = np.zeros(n, dtype=np.int64)
     active_time = np.zeros(n)
-    for _ in range(config.rounds):
-        teams, winner, member_times = execute_round(profile, config, stream)
-        win_count[teams[winner]] += 1
-        active_time += member_times
+    for first in range(0, config.rounds, block):
+        rounds = min(block, config.rounds - first)
+        teams = form_teams(n, config.team_size, team_stream, rounds)
+        member_times = multiplier_stream.uniform(lo, hi, (rounds, n))
+        member_times *= config.work_time
+        member_times /= profile.factors
+        winners = []
+        for r in range(rounds):
+            winners.append(execute_round(teams[r], member_times[r]))
+            active_time += member_times[r]
+        winning_members = teams[np.arange(rounds), :, winners]
+        win_count += np.bincount(winning_members.ravel(), minlength=n)
+        # Only one block is held at a time: drop this one before drawing the next.
+        del teams, member_times
 
     # Built from win counts so reward == share * wins holds bit-exactly.
     cumulative_reward = (config.reward_per_round / config.team_size) * win_count

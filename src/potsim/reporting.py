@@ -341,6 +341,20 @@ def summary_to_dict(summary: ScenarioSummary) -> dict:
     }
 
 
+def _number(data: dict, key: str) -> float:
+    value = data[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"key {key!r} must be a number, got {value!r}")
+    return float(value)
+
+
+def _numbers(data: dict, key: str) -> dict[str, float]:
+    group = data[key]
+    if not isinstance(group, dict):
+        raise TypeError(f"key {key!r} must be an object, got {group!r}")
+    return {name: _number(group, name) for name in group}
+
+
 def summary_from_dict(data: dict) -> ScenarioSummary:
     ranking = None
     if data.get("ranking") is not None:
@@ -351,10 +365,10 @@ def summary_from_dict(data: dict) -> ScenarioSummary:
         )
     return ScenarioSummary(
         config_echo=config_from_dict(data["config"]),
-        reward_stats=DistStats(**data["reward_stats"]),
-        shape_stats=ShapeStats(**data["shape_stats"]),
-        correlation=data["correlation"],
-        total_active_time_mean=data["total_active_time_mean"],
+        reward_stats=DistStats(**_numbers(data, "reward_stats")),
+        shape_stats=ShapeStats(**_numbers(data, "shape_stats")),
+        correlation=_number(data, "correlation"),
+        total_active_time_mean=_number(data, "total_active_time_mean"),
         ranking=ranking,
     )
 
@@ -404,24 +418,46 @@ def write_bundle(
     return bundle
 
 
+def _read_json_object(path: Path, parse):
+    """parse() of the JSON object in path; malformed content is a ValueError naming the file."""
+    try:
+        data = json.loads(path.read_text(encoding="utf-8"))
+        if not isinstance(data, dict):
+            raise TypeError(f"expected a JSON object, got {type(data).__name__}")
+        return parse(data)
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _manifest_fields(data: dict) -> dict:
+    names = data["summaries"]
+    if not isinstance(names, list) or not all(isinstance(name, str) for name in names):
+        raise TypeError(f"key 'summaries' must be a list of file names, got {names!r}")
+    return {
+        "kind": data["kind"],
+        "summaries": names,
+        "config_echo": config_from_dict(data["base_config"]),
+        "created_utc": data["created_utc"],
+        "version": data["version"],
+        "runs_csv": data.get("runs_csv"),
+    }
+
+
 def load_bundle(out_dir: Path) -> ReportBundle:
-    """Load a manifest and its summaries back from out_dir."""
+    """Load a manifest and its summaries back from out_dir.
+
+    A missing manifest is a FileNotFoundError; a malformed manifest or
+    summary is a ValueError naming the file and the missing or bad key.
+    """
     out_dir = Path(out_dir)
     manifest_path = out_dir / "manifest.json"
     if not manifest_path.exists():
         raise FileNotFoundError(f"no manifest.json under {out_dir}")
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    summaries = [
-        summary_from_dict(
-            json.loads((out_dir / "summaries" / name).read_text(encoding="utf-8"))
-        )
-        for name in manifest["summaries"]
+    fields = _read_json_object(manifest_path, _manifest_fields)
+    fields["summaries"] = [
+        _read_json_object(out_dir / "summaries" / name, summary_from_dict)
+        for name in fields["summaries"]
     ]
-    return ReportBundle(
-        kind=manifest["kind"],
-        summaries=summaries,
-        config_echo=config_from_dict(manifest["base_config"]),
-        created_utc=manifest["created_utc"],
-        version=manifest["version"],
-        runs_csv=manifest.get("runs_csv"),
-    )
+    return ReportBundle(**fields)

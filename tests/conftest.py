@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from potsim import ScenarioConfig
@@ -10,24 +9,3 @@ from potsim import ScenarioConfig
 def ci_config() -> ScenarioConfig:
     # Mirrors the CLI --ci-scale preset.
     return ScenarioConfig(participant_count=160, team_size=4, rounds=160, runs=20, master_seed=7)
-
-
-class PinnedStream:
-    """Duck-typed random stream with a fixed permutation and fixed multipliers."""
-
-    def __init__(self, order, multipliers):
-        self.order = np.asarray(order)
-        self.multipliers = np.asarray(multipliers, dtype=float)
-
-    def permutation(self, n):
-        assert n == len(self.order)
-        return self.order.copy()
-
-    def uniform(self, lo, hi, size):
-        assert size == len(self.multipliers)
-        return self.multipliers.copy()
-
-
-@pytest.fixture
-def pinned_stream():
-    return PinnedStream

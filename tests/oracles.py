@@ -2,11 +2,14 @@
 
 Everything here is written directly from the defining formulas with plain
 Python floats and math.fsum, deliberately sharing no code with the package.
+numpy supplies only the random streams the engine's contract names.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 MASK64 = (1 << 64) - 1
 
@@ -84,3 +87,41 @@ SPLITMIX64_SEED1234567 = (
     4593380528125082431,
     16408922859458223821,
 )
+
+
+def contract_v2_run(participant_count, team_size, rounds, run_seed, work_time,
+                    multiplier_range, factors):
+    """One run of stream contract v2, round by round: (win counts, active times).
+
+    The two children of SeedSequence(run_seed).spawn(2) draw the multipliers
+    and the team orders: one uniform(lo, hi, n) and, unless team_size is 1,
+    one permutation(n) per round. The order is cut into team_size rows of
+    team_count ids and team t is column t. Member times are (work_time * m) / f
+    in Python floats, team times are summed slot by slot, and the first
+    lowest team wins.
+    """
+    multiplier_stream, team_stream = (
+        np.random.default_rng(child) for child in np.random.SeedSequence(run_seed).spawn(2)
+    )
+    n = participant_count
+    team_count = n // team_size
+    lo, hi = multiplier_range
+    factors = [float(f) for f in factors]
+    wins = [0] * n
+    active = [0.0] * n
+    for _ in range(rounds):
+        order = list(range(n)) if team_size == 1 else team_stream.permutation(n).tolist()
+        multipliers = multiplier_stream.uniform(lo, hi, n).tolist()
+        times = [(work_time * m) / f for m, f in zip(multipliers, factors)]
+        teams = [[order[slot * team_count + t] for slot in range(team_size)]
+                 for t in range(team_count)]
+        team_times = []
+        for team in teams:
+            total = 0.0
+            for member in team:
+                total += times[member]
+            team_times.append(total)
+        for member in teams[team_times.index(min(team_times))]:
+            wins[member] += 1
+        active = [a + x for a, x in zip(active, times)]
+    return wins, active

@@ -238,6 +238,54 @@ def test_runtime_error_exit_status(tmp_path, capsys):
     assert entrypoint(["report", "--from", str(missing)]) == 2
 
 
+def _drop_correlation(summary):
+    del summary["correlation"]
+    return summary
+
+
+def _drop_summaries(manifest):
+    del manifest["summaries"]
+    return manifest
+
+
+def _null_mean(summary):
+    summary["reward_stats"]["mean"] = None
+    return summary
+
+
+def _number_name(manifest):
+    manifest["summaries"] = [5]
+    return manifest
+
+
+BAD_BUNDLES = [
+    ("summary", _drop_correlation, "missing key 'correlation'"),
+    ("manifest", _drop_summaries, "missing key 'summaries'"),
+    ("manifest", _number_name, "key 'summaries' must be a list of file names"),
+    ("summary", lambda summary: [summary], "expected a JSON object, got list"),
+    ("summary", _null_mean, "key 'mean' must be a number, got None"),
+]
+
+
+@pytest.mark.parametrize(
+    "target, edit, message",
+    BAD_BUNDLES,
+    ids=["missing_summary_key", "missing_manifest_summaries", "non_string_name", "non_object_json",
+         "non_number_value"],
+)
+def test_malformed_bundle_exits_2_with_one_line(tmp_path, capsys, target, edit, message):
+    assert entrypoint(run_args(tmp_path)) == 0
+    path = tmp_path / "manifest.json"
+    if target == "summary":
+        path = tmp_path / "summaries" / "homogeneous_n004.json"
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    capsys.readouterr()
+    assert entrypoint(["report", "--from", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: {path}: ") and message in err
+
+
 def test_threads_do_not_change_output_files(tmp_path, monkeypatch):
     monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
     single = tmp_path / "threads1"

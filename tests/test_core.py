@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from potsim import (
     ConfigurationError,
     PerformanceProfile,
@@ -90,29 +91,40 @@ def test_sample_mean_matches_uniform_expectation():
 
 
 def test_form_teams_partitions_population():
-    teams = form_teams(4, 2, np.random.default_rng(0))
-    assert teams.shape == (2, 2)
+    teams = form_teams(4, 2, np.random.default_rng(0), 3)
+    assert teams.shape == (3, 2, 2)
     assert not teams.flags.writeable
-    assert sorted(teams.ravel().tolist()) == [0, 1, 2, 3]
+    for round_teams in teams:
+        assert sorted(round_teams.ravel().tolist()) == [0, 1, 2, 3]
 
 
 def test_form_teams_singletons():
-    teams = form_teams(4, 1, np.random.default_rng(0))
-    assert teams.shape == (4, 1)
-    assert sorted(teams.ravel().tolist()) == [0, 1, 2, 3]
+    teams = form_teams(4, 1, np.random.default_rng(0), 3)
+    assert teams.shape == (3, 1, 4)
+    assert not teams.flags.writeable
+    assert teams.tolist() == [[[0, 1, 2, 3]]] * 3
+
+
+def test_form_teams_singletons_draw_nothing():
+    # Team order cannot move an argmin over single members, so PoW draws no order.
+    stream = np.random.default_rng(0)
+    before = stream.bit_generator.state
+    form_teams(4, 1, stream, 5)
+    assert stream.bit_generator.state == before
 
 
 def test_form_teams_rejects_indivisible():
     with pytest.raises(ConfigurationError, match="not divisible"):
-        form_teams(4, 3, np.random.default_rng(0))
+        form_teams(4, 3, np.random.default_rng(0), 1)
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(1, 12), st.integers(1, 8), st.integers(0, 2**32 - 1))
-def test_form_teams_partition_property(teams, size, seed):
+@given(st.integers(1, 12), st.integers(1, 8), st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_form_teams_partition_property(teams, size, rounds, seed):
     n = teams * size
-    teams = form_teams(n, size, np.random.default_rng(seed))
-    assert sorted(teams.ravel().tolist()) == list(range(n))
+    teams = form_teams(n, size, np.random.default_rng(seed), rounds)
+    for round_teams in teams:
+        assert sorted(round_teams.ravel().tolist()) == list(range(n))
 
 
 # -- time formulas ---------------------------------------------------------------
@@ -124,22 +136,19 @@ def test_work_time_values():
     assert config(participant_count=64, team_size=8).work_time == 75
 
 
-def test_member_times_pinned_values(pinned_stream):
+def test_member_times_pinned_values():
     # member time = work time * multiplier / factor, indexed by participant id.
-    pow_cfg = config(participant_count=2, team_size=1, base_time=600.0)
+    # A degenerate multiplier range pins the multiplier; after one round a
+    # participant's active time is its member time.
+    pow_cfg = config(participant_count=2, team_size=1, rounds=1, multiplier_range=(0.8, 0.8))
     profile = PerformanceProfile(factors=np.array([2.5, 1.0]))
-    _, _, member_times = execute_round(profile, pow_cfg, pinned_stream([1, 0], [0.8, 1.0]))
-    assert member_times.tolist() == [192.0, 600.0]
-    big_cfg = config(participant_count=64, team_size=64)
-    factors = np.full(64, 1.0)
+    assert run_simulation(pow_cfg, 0, profile).active_time.tolist() == [192.0, 480.0]
+    big_cfg = config(participant_count=64, team_size=64, rounds=1, multiplier_range=(1.2, 1.2))
+    factors = np.full(64, 1.2)
     factors[0] = 0.8
-    multipliers = np.full(64, 1.0)
-    multipliers[0] = 1.2
-    _, _, member_times = execute_round(
-        PerformanceProfile(factors=factors), big_cfg, pinned_stream(range(64), multipliers)
-    )
-    assert member_times[0] == 14.0625
-    assert member_times[1] == 9.375
+    active_time = run_simulation(big_cfg, 0, PerformanceProfile(factors=factors)).active_time
+    assert active_time[0] == 14.0625
+    assert active_time[1] == 9.375
 
 
 def test_config_rejects_nonpositive_factors():
@@ -155,14 +164,12 @@ def test_config_rejects_nonpositive_factors():
 # -- execute_round ----------------------------------------------------------------
 
 
-def test_execute_round_pinned_example(pinned_stream):
-    cfg = config()
-    profile = PerformanceProfile(factors=np.array([1.0, 1.0, 1.0, 2.0]))
-    stream = pinned_stream([0, 1, 2, 3], [1.0, 1.0, 1.0, 1.0])
-    teams, winner, member_times = execute_round(profile, cfg, stream)
-    assert teams.tolist() == [[0, 1], [2, 3]]
+def test_execute_round_pinned_example():
+    # Team t is column t: team 0 is {0, 1}, team 1 is {2, 3}.
+    teams = np.array([[0, 2], [1, 3]])
+    winner = execute_round(teams, np.array([300.0, 300.0, 300.0, 150.0]))
     assert winner == 1
-    assert member_times.tolist() == [300.0, 300.0, 300.0, 150.0]
+    assert teams[:, winner].tolist() == [2, 3]
 
 
 def test_execute_round_reward_sum_is_reward_per_round():
@@ -173,44 +180,42 @@ def test_execute_round_reward_sum_is_reward_per_round():
     assert abs(result.cumulative_reward.sum() - 10.0) < 1e-9
 
 
-def test_execute_round_pow_winner_is_fastest(pinned_stream):
-    cfg = config(participant_count=2, team_size=1)
-    profile = PerformanceProfile(factors=np.array([1.0, 1.0]))
-    teams, winner, _ = execute_round(profile, cfg, pinned_stream([0, 1], [0.9, 1.1]))
+def test_execute_round_pow_winner_is_fastest():
+    (teams,) = form_teams(2, 1, np.random.default_rng(0), 1)
+    winner = execute_round(teams, np.array([540.0, 660.0]))
     assert winner == 0
-    assert teams[winner].tolist() == [0]
+    assert teams[:, winner].tolist() == [0]
 
 
 def test_execute_round_team_time_is_member_sum():
-    cfg = config(participant_count=30, team_size=5)
-    profile = draw_performance_profile(cfg, np.random.default_rng(8))
-    teams, winner, member_times = execute_round(profile, cfg, np.random.default_rng(9))
-    team_times = [math.fsum(member_times[team]) for team in teams]
+    (teams,) = form_teams(30, 5, np.random.default_rng(9), 1)
+    member_times = np.random.default_rng(8).uniform(50.0, 150.0, 30)
+    winner = execute_round(teams, member_times)
+    team_times = [math.fsum(member_times[team]) for team in teams.T]
     assert abs(team_times[winner] - min(team_times)) <= 1e-9
 
 
 def test_execute_round_member_times_within_bounds():
-    cfg = config(participant_count=40, team_size=4)
-    profile = draw_performance_profile(cfg, np.random.default_rng(10))
-    _, _, member_times = execute_round(profile, cfg, np.random.default_rng(11))
+    # After one round each participant's active time is its member time.
+    cfg = config(participant_count=40, team_size=4, rounds=1)
+    result = run_simulation(cfg, run_seed=11)
     work = cfg.base_time / cfg.team_size
-    lo = work * 0.8 / profile.factors.max()
-    hi = work * 1.2 / profile.factors.min()
-    assert member_times.min() >= lo - 1e-12
-    assert member_times.max() <= hi + 1e-12
+    lo = work * 0.8 / result.profile.factors.max()
+    hi = work * 1.2 / result.profile.factors.min()
+    assert result.active_time.min() >= lo - 1e-12
+    assert result.active_time.max() <= hi + 1e-12
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.floats(0.1, 50.0))
 def test_winner_invariant_under_time_scaling(seed, scale):
     # Scaling base_time scales every member time by the same constant,
-    # so the argmin winner must not move.
+    # so the argmin winners must not move.
     cfg = config(participant_count=24, team_size=4, base_time=600.0)
     scaled = config(participant_count=24, team_size=4, base_time=600.0 * scale)
-    profile = draw_performance_profile(cfg, np.random.default_rng(seed))
-    _, winner, _ = execute_round(profile, cfg, np.random.default_rng(seed + 1))
-    _, winner_scaled, _ = execute_round(profile, scaled, np.random.default_rng(seed + 1))
-    assert winner == winner_scaled
+    assert np.array_equal(
+        run_simulation(cfg, seed).win_count, run_simulation(scaled, seed).win_count
+    )
 
 
 # -- run_simulation ----------------------------------------------------------------
@@ -291,3 +296,36 @@ def test_expected_total_time_law():
     )
     expected = 600.0 * math.log(1.875) / 0.7
     assert abs(per_slot - expected) / expected < 0.02
+
+
+@pytest.mark.parametrize(
+    "participants, team_size, rounds, shared",
+    [
+        (4096, 1, 42, False),
+        (3000, 3, 43, False),
+        (4096, 8, 42, False),
+        (4096, 8, 42, True),
+        (24, 3, 25, False),
+    ],
+)
+def test_run_matches_contract_v2_oracle(participants, team_size, rounds, shared):
+    # Large populations cross several blocks of rounds (and end in a partial
+    # one); the oracle draws round by round, so equality shows that no
+    # output depends on the block length.
+    cfg = config(participant_count=participants, team_size=team_size, rounds=rounds,
+                 high_perf_override=(participants // 2, 2.5))
+    run_seed = 12345 + team_size
+    profile = None
+    if shared:
+        profile = draw_performance_profile(cfg, np.random.default_rng(99))
+    result = run_simulation(cfg, run_seed, profile)
+    expected_factors = np.random.default_rng(run_seed).uniform(0.8, 1.5, participants)
+    expected_factors[participants // 2] = 2.5
+    factors = profile.factors if shared else expected_factors
+    assert np.array_equal(result.profile.factors, factors)
+    wins, active = oracles.contract_v2_run(
+        participants, team_size, rounds, run_seed, cfg.work_time, cfg.multiplier_range,
+        factors,
+    )
+    assert result.win_count.tolist() == wins
+    assert result.active_time.tolist() == active

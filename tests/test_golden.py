@@ -36,11 +36,11 @@ def tree_digest(root: Path) -> str:
         (
             ["sweep", "--ci-scale", "--high-perf-id", "100",
              "--team-sizes", "1,2,4,5,8,10,16,20,32,40,80"],
-            "c12215f61add363a8a25c35194aef11eb2e8467816e804cf543cdd7cc2f41224",
+            "8c46234e613a0a6df897a4bccb1a8ed33c0f40daff53a16b8b42a2a9e91ee426",
         ),
         (
             ["run", "--paper-defaults", "--team-size", "8", "--rounds", "16", "--runs", "4", "--raw"],
-            "13f51a637e1791fca043a5fae139d511c88236c0e76e6507e41f904f93dca871",
+            "85103404741f2ee20057dc508f9d7f3259ebdfcbb0bc702dc955c8613baec27d",
         ),
     ],
     ids=["ci_sweep", "paper_run_raw"],

@@ -9,7 +9,6 @@ import pytest
 import oracles
 from potsim import (
     ScenarioConfig,
-    emit_reward_histogram,
     emit_table,
     execute_runs,
     run_simulation,
@@ -22,6 +21,7 @@ from potsim.reporting import (
     REFERENCE_TABLES,
     config_from_dict,
     config_to_dict,
+    emit_reward_histogram,
     load_bundle,
     read_participant_csv,
     render_delta_report,
