@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import ExitStack
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -25,6 +26,7 @@ from .experiments import (
 )
 from .reporting import (
     TABLE_IDS,
+    atomic_writer,
     emit_table,
     load_bundle,
     render_delta_report,
@@ -299,11 +301,15 @@ def _cmd_run(invocation: CliInvocation) -> int:
     summary = summarize_runs(config, runs)
     invocation.out_dir.mkdir(parents=True, exist_ok=True)
     runs_csv = None
-    if invocation.raw:
-        runs_csv = "runs.csv"
-        with open(invocation.out_dir / runs_csv, "wb") as sink:
+    # runs.csv is moved into place after the bundle is written, so a failed
+    # bundle write keeps the old runs.csv as well.
+    with ExitStack() as stack:
+        if invocation.raw:
+            runs_csv = "runs.csv"
+            sink = stack.enter_context(atomic_writer(invocation.out_dir / runs_csv))
             write_runs_csv(runs, sink)
-    write_bundle(invocation.out_dir, "run", [summary], config, runs_csv=runs_csv)
+            sink.flush()
+        write_bundle(invocation.out_dir, "run", [summary], config, runs_csv=runs_csv)
     print(
         f"{summary_label(summary)}: {config.runs} runs x {config.rounds} rounds, "
         f"mean reward {summary.reward_stats.mean:.4f}, "

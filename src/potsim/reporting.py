@@ -13,9 +13,11 @@ import dataclasses
 import json
 import os
 import time
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
-from typing import IO, Sequence
+from typing import IO, Iterator, Sequence
 
 import numpy as np
 
@@ -115,33 +117,33 @@ def emission_timestamp() -> str:
     return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(moment))
 
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".6g")
-
-
-def _csv_rows(run: RunResult, run_id: int) -> list[str]:
-    ranks = competition_ranks(run.cumulative_reward)
-    rows = []
-    for pid in range(len(run.cumulative_reward)):
-        rows.append(
-            f"{run_id},{pid},{_fmt(run.profile.factors[pid])},"
-            f"{_fmt(run.cumulative_reward[pid])},{int(run.win_count[pid])},"
-            f"{_fmt(run.active_time[pid])},{int(ranks[pid])}"
-        )
-    return rows
-
-
 def write_runs_csv(runs: Sequence[RunResult], destination: IO[bytes]) -> int:
-    """Write several runs into one CSV, run_id column set by position."""
+    """Write several runs into one CSV, run_id column set by position.
+
+    Each run's rows come from one ``%`` template filled with its columns as
+    Python numbers, and are written in one call. ``"%.6g" % x`` equals
+    ``format(x, ".6g")`` for every Python float, so the bytes are those of a
+    row-by-row ``format`` writer.
+    """
     try:
         destination.write((CSV_HEADER + "\n").encode("utf-8"))
         total = 0
         for run_id, run in enumerate(runs):
-            for row in _csv_rows(run, run_id):
-                destination.write((row + "\n").encode("utf-8"))
-            total += len(run.cumulative_reward)
+            rewards = run.cumulative_reward
+            n = len(rewards)
+            columns = (
+                range(n),
+                run.profile.factors.tolist(),
+                rewards.tolist(),
+                run.win_count.tolist(),
+                run.active_time.tolist(),
+                competition_ranks(rewards).tolist(),
+            )
+            rows = f"{run_id},%d,%.6g,%.6g,%d,%.6g,%d\n" * n
+            destination.write((rows % tuple(chain.from_iterable(zip(*columns)))).encode("utf-8"))
+            total += n
     except OSError as exc:
-        raise OSError(f"participant CSV write failed (output may be partial): {exc}") from exc
+        raise OSError(f"participant CSV write failed: {exc}") from exc
     return total
 
 
@@ -355,13 +357,22 @@ def _numbers(data: dict, key: str) -> dict[str, float]:
     return {name: _number(group, name) for name in group}
 
 
+def _count(data: dict, key: str) -> int:
+    value = data[key]
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise TypeError(f"key {key!r} must be a non-negative integer, got {value!r}")
+    return value
+
+
 def summary_from_dict(data: dict) -> ScenarioSummary:
     ranking = None
     if data.get("ranking") is not None:
         raw = data["ranking"]
+        if not isinstance(raw, dict):
+            raise TypeError(f"key 'ranking' must be an object, got {raw!r}")
         ranking = RankingHistogram(
-            counts={r: int(raw[str(r)]) for r in RANK_BUCKETS},
-            eleven_or_lower=int(raw[OVERFLOW_BUCKET]),
+            counts={r: _count(raw, str(r)) for r in RANK_BUCKETS},
+            eleven_or_lower=_count(raw, OVERFLOW_BUCKET),
         )
     return ScenarioSummary(
         config_echo=config_from_dict(data["config"]),
@@ -377,8 +388,26 @@ def _summary_filename(summary: ScenarioSummary) -> str:
     return f"{summary.condition.value}_n{summary.config_echo.team_size:03d}.json"
 
 
-def _dump_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+@contextmanager
+def atomic_writer(path: Path) -> Iterator[IO[bytes]]:
+    """A binary sink whose bytes replace ``path`` only when the block succeeds.
+
+    The bytes go to a temp file beside ``path``, which ``os.replace`` moves
+    into place at the end of the block. If the block or the move fails or is
+    interrupted, the temp file is removed and ``path`` keeps its old content.
+    """
+    temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(temp, "wb") as sink:
+            yield sink
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
+
+
+def _json_bytes(payload: dict) -> bytes:
+    return (json.dumps(payload, indent=2) + "\n").encode("utf-8")
 
 
 def write_bundle(
@@ -388,15 +417,21 @@ def write_bundle(
     base_config: ScenarioConfig,
     runs_csv: str | None = None,
 ) -> ReportBundle:
-    """Write per-scenario summary JSONs plus a manifest into out_dir."""
+    """Write per-scenario summary JSONs plus a manifest into out_dir.
+
+    Every file is written to a temp file before any replaces its old version,
+    and the manifest replaces its old version last. A failed or interrupted
+    write removes the temp files not yet moved into place.
+    """
     out_dir = Path(out_dir)
     summaries_dir = out_dir / "summaries"
     summaries_dir.mkdir(parents=True, exist_ok=True)
-    names = []
-    for summary in summaries:
-        name = _summary_filename(summary)
-        _dump_json(summaries_dir / name, summary_to_dict(summary))
-        names.append(name)
+    names = [_summary_filename(summary) for summary in summaries]
+    # Keyed by path: a team size listed twice names one file, written once.
+    files = {
+        summaries_dir / name: _json_bytes(summary_to_dict(summary))
+        for name, summary in zip(names, summaries)
+    }
     bundle = ReportBundle(
         kind=kind,
         summaries=list(summaries),
@@ -414,7 +449,14 @@ def write_bundle(
         "summaries": names,
         "runs_csv": runs_csv,
     }
-    _dump_json(out_dir / "manifest.json", manifest)
+    # Every temp file is written and flushed before any is moved. The stack
+    # leaves its writers in reverse order, so the manifest, entered first, is
+    # moved into place last.
+    with ExitStack() as stack:
+        for path, data in [(out_dir / "manifest.json", _json_bytes(manifest)), *files.items()]:
+            sink = stack.enter_context(atomic_writer(path))
+            sink.write(data)
+            sink.flush()
     return bundle
 
 

@@ -57,6 +57,20 @@ def competition_rank(rewards, participant):
     return 1 + sum(1 for value in rewards if value > rewards[participant])
 
 
+def csv_rows_oracle(runs):
+    """The bytes of runs.csv, one f-string row per participant with format(x, '.6g') reals."""
+    lines = ["run_id,participant_id,performance_factor,reward,wins,active_time_seconds,rank"]
+    for run_id, run in enumerate(runs):
+        rewards = run.cumulative_reward.tolist()
+        for pid in range(len(rewards)):
+            lines.append(
+                f"{run_id},{pid},{format(float(run.profile.factors[pid]), '.6g')},"
+                f"{format(float(rewards[pid]), '.6g')},{int(run.win_count[pid])},"
+                f"{format(float(run.active_time[pid]), '.6g')},{competition_rank(rewards, pid)}"
+            )
+    return "".join(line + "\n" for line in lines).encode("utf-8")
+
+
 def splitmix64_outputs(seed, count):
     """Transcription of the published SplitMix64 reference algorithm."""
     x = seed & MASK64

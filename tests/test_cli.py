@@ -258,12 +258,23 @@ def _number_name(manifest):
     return manifest
 
 
+def _rank_count(key, value):
+    def edit(summary):
+        summary["ranking"][key] = value
+        return summary
+
+    return edit
+
+
 BAD_BUNDLES = [
     ("summary", _drop_correlation, "missing key 'correlation'"),
     ("manifest", _drop_summaries, "missing key 'summaries'"),
     ("manifest", _number_name, "key 'summaries' must be a list of file names"),
     ("summary", lambda summary: [summary], "expected a JSON object, got list"),
     ("summary", _null_mean, "key 'mean' must be a number, got None"),
+    ("ranking", _rank_count("1", 2.7), "key '1' must be a non-negative integer, got 2.7"),
+    ("ranking", _rank_count("2", "1"), "key '2' must be a non-negative integer, got '1'"),
+    ("ranking", _rank_count("3", True), "key '3' must be a non-negative integer, got True"),
 ]
 
 
@@ -271,19 +282,56 @@ BAD_BUNDLES = [
     "target, edit, message",
     BAD_BUNDLES,
     ids=["missing_summary_key", "missing_manifest_summaries", "non_string_name", "non_object_json",
-         "non_number_value"],
+         "non_number_value", "fractional_rank_count", "string_rank_count", "bool_rank_count"],
 )
 def test_malformed_bundle_exits_2_with_one_line(tmp_path, capsys, target, edit, message):
-    assert entrypoint(run_args(tmp_path)) == 0
-    path = tmp_path / "manifest.json"
-    if target == "summary":
-        path = tmp_path / "summaries" / "homogeneous_n004.json"
+    if target == "ranking":
+        assert entrypoint(run_args(tmp_path, "--high-perf-id", "3")) == 0
+        path = tmp_path / "summaries" / "high_perf_n004.json"
+    else:
+        assert entrypoint(run_args(tmp_path)) == 0
+        path = tmp_path / ("summaries/homogeneous_n004.json" if target == "summary" else "manifest.json")
     path.write_text(json.dumps(edit(json.loads(path.read_text()))))
     capsys.readouterr()
     assert entrypoint(["report", "--from", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
     assert err.startswith(f"error: {path}: ") and message in err
+
+
+def _block(tmp_path, name):
+    """Put a directory where the file ``name`` was, so writing it fails."""
+    (tmp_path / name).unlink()
+    (tmp_path / name).mkdir()
+
+
+def test_failed_runs_csv_write_exits_2_and_leaves_no_temp_file(tmp_path, capsys):
+    assert entrypoint(run_args(tmp_path, "--raw")) == 0
+    _block(tmp_path, "runs.csv")
+    capsys.readouterr()
+    assert entrypoint(run_args(tmp_path, "--raw", "--seed", "6")) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and "runs.csv" in err
+    assert sorted(read_tree(tmp_path)) == ["manifest.json", "summaries/homogeneous_n004.json"]
+    assert (tmp_path / "runs.csv").is_dir()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_failed_bundle_write_replaces_no_file(tmp_path, capsys, command):
+    argv = run_args(tmp_path, "--raw")
+    if command == "sweep":
+        argv = ["sweep", "--ci-scale", "--team-sizes", "1,2,4", "--runs", "2", "--out", str(tmp_path)]
+    assert entrypoint(argv) == 0
+    before = read_tree(tmp_path)
+    # The bundle moves its last summary into place first, so this fails
+    # after every temp file is written and before any file is replaced.
+    blocked = "summaries/homogeneous_n004.json"
+    _block(tmp_path, blocked)
+    capsys.readouterr()
+    assert entrypoint(argv + ["--seed", "6"]) == 2
+    assert len(capsys.readouterr().err.splitlines()) == 1
+    del before[blocked]
+    assert read_tree(tmp_path) == before
 
 
 def test_threads_do_not_change_output_files(tmp_path, monkeypatch):

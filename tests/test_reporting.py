@@ -103,6 +103,38 @@ def test_runs_csv_concatenates_with_run_ids():
     assert [row["run_id"] for row in rows] == [0] * 4 + [1] * 4 + [2] * 4
 
 
+CSV_ORACLE_CASES = {
+    "zero_runs": None,
+    "zero_rounds": dict(rounds=0),
+    "team_size_1": dict(team_size=1),
+    "shared_profile": dict(redraw_profile_per_run=False),
+    "override_factor": dict(high_perf_override=(5, 2.5)),
+    "exponent_form": dict(base_time=1e9, reward_per_round=1e-7),
+}
+
+
+@pytest.mark.parametrize("overrides", CSV_ORACLE_CASES.values(), ids=CSV_ORACLE_CASES.keys())
+def test_runs_csv_matches_row_oracle(overrides):
+    runs = []
+    if overrides is not None:
+        fields = dict(participant_count=8, team_size=2, rounds=12, runs=3, master_seed=4)
+        runs = execute_runs(ScenarioConfig(**{**fields, **overrides}))
+    sink = io.BytesIO()
+    assert write_runs_csv(runs, sink) == 8 * len(runs)
+    assert sink.getvalue() == oracles.csv_rows_oracle(runs)
+
+
+class _FailingSink:
+    def write(self, data):
+        raise OSError("disk full")
+
+
+def test_runs_csv_write_failure_is_wrapped():
+    _, run = small_run()
+    with pytest.raises(OSError, match="participant CSV write failed: disk full"):
+        write_runs_csv([run], _FailingSink())
+
+
 # -- reward histogram --------------------------------------------------------------
 
 
