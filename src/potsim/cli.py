@@ -28,6 +28,7 @@ from .reporting import (
     TABLE_IDS,
     atomic_writer,
     emit_table,
+    json_bytes,
     load_bundle,
     render_delta_report,
     summary_label,
@@ -347,10 +348,11 @@ def _cmd_report(invocation: CliInvocation) -> int:
     tables_dir = invocation.out_dir / "tables"
     tables_dir.mkdir(parents=True, exist_ok=True)
     for doc in documents:
-        path = tables_dir / f"{doc['table']}.json"
-        path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+        with atomic_writer(tables_dir / f"{doc['table']}.json") as sink:
+            sink.write(json_bytes(doc))
     text = render_delta_report(documents)
-    (invocation.out_dir / "delta_report.txt").write_text(text, encoding="utf-8")
+    with atomic_writer(invocation.out_dir / "delta_report.txt") as sink:
+        sink.write(text.encode("utf-8"))
     print(text)
     return 0
 

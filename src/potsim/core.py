@@ -135,6 +135,10 @@ class ScenarioConfig:
             pid, factor = override
             _require(0 <= pid < n, f"high_perf_override id {pid} outside population of {n}")
             _require(factor > 0, f"high_perf_override factor must be positive, got {factor}")
+        # Within these bounds the engine's times and the statistics' fourth
+        # moments stay finite and nonzero at any run size that can be computed.
+        for name, value in reals.items():
+            _require(1e-12 <= value <= 1e12, f"{name} must lie in [1e-12, 1e12], got {value}")
         _require(
             0 <= self.master_seed < (1 << 64),
             f"master_seed must be a 64-bit unsigned integer, got {self.master_seed}",
@@ -151,42 +155,34 @@ class ScenarioConfig:
 
 
 @dataclass(frozen=True)
-class PerformanceProfile:
-    """Per-participant performance factors for one run, indexed by id."""
-
-    factors: np.ndarray
-
-
-@dataclass(frozen=True)
 class RunResult:
     """Accumulated outcome of one seeded run.
 
     ``active_time`` holds each participant's summed simulated time across
     all rounds; every participant works every round, winners and losers
-    alike, which is what makes total time the energy proxy.
+    alike, which is what makes total time the energy proxy. ``factors`` is
+    the run's read-only performance profile, indexed by id.
     """
 
     cumulative_reward: np.ndarray
     win_count: np.ndarray
     active_time: np.ndarray
-    profile: PerformanceProfile
+    factors: np.ndarray
 
     @property
     def total_active_time(self) -> float:
         return float(self.active_time.sum())
 
 
-def draw_performance_profile(
-    config: ScenarioConfig, stream: np.random.Generator
-) -> PerformanceProfile:
-    """Draw factors independently uniform on perf_range, then apply the override."""
+def draw_performance_profile(config: ScenarioConfig, stream: np.random.Generator) -> np.ndarray:
+    """Read-only factors, independently uniform on perf_range, then the override."""
     lo, hi = config.perf_range
     factors = stream.uniform(lo, hi, config.participant_count)
     if config.high_perf_override is not None:
         pid, factor = config.high_perf_override
         factors[pid] = factor
     factors.flags.writeable = False
-    return PerformanceProfile(factors=factors)
+    return factors
 
 
 # Elements per block of rounds; 2**14 float64 multipliers are 128 KiB.
@@ -233,20 +229,20 @@ def execute_round(teams: np.ndarray, member_times: np.ndarray) -> int:
 def run_simulation(
     config: ScenarioConfig,
     run_seed: int,
-    profile: PerformanceProfile | None = None,
+    factors: np.ndarray | None = None,
 ) -> RunResult:
     """Execute one run of config.rounds rounds from one run seed.
 
-    ``default_rng(run_seed)`` draws the profile (unless a pre-drawn profile
-    is supplied for shared-profile scenarios); the rounds draw from the two
-    spawned child streams, as the module docstring sets out. Identical
-    (config, run_seed, profile) always reproduce the same result.
+    ``default_rng(run_seed)`` draws the performance factors (unless pre-drawn
+    factors are supplied for shared-profile scenarios); the rounds draw from
+    the two spawned child streams, as the module docstring sets out.
+    Identical (config, run_seed, factors) always reproduce the same result.
     """
-    if profile is None:
-        profile = draw_performance_profile(config, np.random.default_rng(run_seed))
-    elif len(profile.factors) != config.participant_count:
+    if factors is None:
+        factors = draw_performance_profile(config, np.random.default_rng(run_seed))
+    elif len(factors) != config.participant_count:
         raise ConfigurationError(
-            f"profile length {len(profile.factors)} does not match "
+            f"profile length {len(factors)} does not match "
             f"participant count {config.participant_count}"
         )
     multiplier_stream, team_stream = (
@@ -263,7 +259,7 @@ def run_simulation(
         teams = form_teams(n, config.team_size, team_stream, rounds)
         member_times = multiplier_stream.uniform(lo, hi, (rounds, n))
         member_times *= config.work_time
-        member_times /= profile.factors
+        member_times /= factors
         winners = []
         for r in range(rounds):
             winners.append(execute_round(teams[r], member_times[r]))
@@ -281,5 +277,5 @@ def run_simulation(
         cumulative_reward=cumulative_reward,
         win_count=win_count,
         active_time=active_time,
-        profile=profile,
+        factors=factors,
     )

@@ -8,8 +8,9 @@ its own stream and aggregation is keyed by run index.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 from typing import Sequence
 
@@ -17,7 +18,6 @@ import numpy as np
 
 from .core import (
     ConfigurationError,
-    PerformanceProfile,
     RunResult,
     ScenarioConfig,
     draw_performance_profile,
@@ -27,7 +27,6 @@ from .metrics import (
     DistStats,
     RankingHistogram,
     ShapeStats,
-    aggregate_stats_over_runs,
     distribution_stats,
     excess_kurtosis,
     pearson_correlation,
@@ -80,6 +79,8 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if not self.team_sizes:
             raise ConfigurationError("sweep needs at least one team size")
+        if len(set(self.team_sizes)) != len(self.team_sizes):
+            raise ConfigurationError(f"sweep team sizes repeat: {list(self.team_sizes)}")
         for n in self.team_sizes:
             if n < 1 or self.base_config.participant_count % n != 0:
                 raise ConfigurationError(
@@ -122,96 +123,85 @@ class ScenarioSummary:
 
 
 def _run_task(task: tuple[ScenarioConfig, int, np.ndarray | None]) -> RunResult:
-    config, seed, shared_factors = task
-    profile = None
-    if shared_factors is not None:
-        profile = PerformanceProfile(factors=shared_factors)
-    return run_simulation(config, seed, profile=profile)
+    return run_simulation(*task)
 
 
-def _shared_profile(config: ScenarioConfig) -> np.ndarray | None:
+def _shared_factors(config: ScenarioConfig) -> np.ndarray | None:
     # Shared-profile scenarios draw once from the seed slot just past the
     # last run, so the profile cannot collide with any run stream.
     if config.redraw_profile_per_run:
         return None
     stream = np.random.default_rng(derive_run_seed(config.master_seed, config.runs))
-    return draw_performance_profile(config, stream).factors
+    return draw_performance_profile(config, stream)
 
 
 def execute_runs(config: ScenarioConfig, workers: int = 1) -> list[RunResult]:
     """Execute config.runs independent runs, ordered by run index.
 
-    ``workers`` > 1 fans runs out over a process pool; results are identical
-    at any worker count.
+    ``workers`` > 1 fans runs out over a process pool of at most one process
+    per run and per CPU; results are identical at any worker count.
     """
-    shared = _shared_profile(config)
+    shared = _shared_factors(config)
     tasks = [
         (config, derive_run_seed(config.master_seed, index), shared)
         for index in range(config.runs)
     ]
-    if workers <= 1 or len(tasks) <= 1:
+    workers = min(workers, len(tasks), os.cpu_count() or 1)
+    if workers <= 1:
         return [_run_task(task) for task in tasks]
-    with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_run_task, tasks, chunksize=4))
 
 
-def _shape_or_nan(values) -> ShapeStats:
-    try:
-        return ShapeStats(skewness=skewness(values), excess_kurtosis=excess_kurtosis(values))
-    except ValueError:
-        return ShapeStats(skewness=float("nan"), excess_kurtosis=float("nan"))
+# The 7 DistStats fields, skewness, excess kurtosis, correlation, total active time.
+_TABLE_ROWS = 11
 
 
-def _correlation_or_nan(x, y) -> float:
-    try:
-        return pearson_correlation(x, y)
-    except ValueError:
-        return float("nan")
+def _run_statistics(run: RunResult) -> list[float]:
+    """One run's column of the statistics table, in ``_TABLE_ROWS`` order.
 
-
-def _empty_summary(config: ScenarioConfig) -> ScenarioSummary:
-    nan = float("nan")
-    ranking = None
-    if config.high_perf_override is not None:
-        ranking = RankingHistogram(counts={r: 0 for r in range(1, 11)}, eleven_or_lower=0)
-    return ScenarioSummary(
-        config_echo=config,
-        reward_stats=DistStats(nan, nan, nan, nan, nan, nan, nan),
-        shape_stats=ShapeStats(nan, nan),
-        correlation=nan,
-        total_active_time_mean=nan,
-        ranking=ranking,
-    )
+    A shape or correlation statistic that is undefined for this run (zero
+    variance, as after zero rounds) is NaN.
+    """
+    rewards = run.cumulative_reward
+    stats = distribution_stats(rewards)
+    column = [getattr(stats, field.name) for field in fields(stats)]
+    for statistic, args in (
+        (skewness, (rewards,)),
+        (excess_kurtosis, (rewards,)),
+        (pearson_correlation, (run.factors, rewards)),
+    ):
+        try:
+            column.append(statistic(*args))
+        except ValueError:
+            column.append(float("nan"))
+    column.append(run.total_active_time)
+    return column
 
 
 def summarize_runs(config: ScenarioConfig, runs: Sequence[RunResult]) -> ScenarioSummary:
-    """Aggregate per-run statistics into a ScenarioSummary.
+    """Average per-run statistics into a ScenarioSummary.
 
-    Zero runs is legal and yields an all-NaN summary (empty ranking).
+    The statistics sit in one (statistic, run) table, and each summary value
+    is the mean of its row. Zero runs is legal and yields an all-NaN summary
+    (all-zero ranking).
     """
-    if len(runs) == 0:
-        return _empty_summary(config)
-    reward_stats = aggregate_stats_over_runs(
-        [distribution_stats(run.cumulative_reward) for run in runs]
-    )
-    shape_stats = aggregate_stats_over_runs(
-        [_shape_or_nan(run.cumulative_reward) for run in runs]
-    )
-    correlation = aggregate_stats_over_runs(
-        [_correlation_or_nan(run.profile.factors, run.cumulative_reward) for run in runs]
-    )
-    total_time_mean = aggregate_stats_over_runs(
-        [run.total_active_time for run in runs]
-    )
+    table = np.empty((_TABLE_ROWS, len(runs)))
+    for index, run in enumerate(runs):
+        table[:, index] = _run_statistics(run)
+    # sum / count is numpy's mean, without its warning on zero runs. Each row
+    # is contiguous, so it adds in the order np.mean adds a list of its values.
+    with np.errstate(invalid="ignore"):
+        means = (table.sum(axis=1) / len(runs)).tolist()
     ranking = None
     if config.high_perf_override is not None:
         ranking = ranking_histogram(runs, config.high_perf_override[0])
     return ScenarioSummary(
         config_echo=config,
-        reward_stats=reward_stats,
-        shape_stats=shape_stats,
-        correlation=correlation,
-        total_active_time_mean=total_time_mean,
+        reward_stats=DistStats(*means[:7]),
+        shape_stats=ShapeStats(*means[7:9]),
+        correlation=means[9],
+        total_active_time_mean=means[10],
         ranking=ranking,
     )
 

@@ -7,7 +7,7 @@ percentile sits at fractional index p/100 * (n-1) of the sorted sample.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -115,9 +115,10 @@ def competition_ranks(rewards) -> np.ndarray:
 
 
 def ranking_histogram(runs: Sequence, participant: int) -> RankingHistogram:
-    """Bucket one participant's per-run competition ranks into 1..10 and overflow."""
-    if len(runs) == 0:
-        raise ValueError("ranking histogram needs at least one run")
+    """Bucket one participant's per-run competition ranks into 1..10 and overflow.
+
+    Zero runs give all-zero counts.
+    """
     counts = {rank: 0 for rank in RANK_BUCKETS}
     overflow = 0
     for run in runs:
@@ -130,25 +131,3 @@ def ranking_histogram(runs: Sequence, participant: int) -> RankingHistogram:
         else:
             overflow += 1
     return RankingHistogram(counts=counts, eleven_or_lower=overflow)
-
-
-def aggregate_stats_over_runs(per_run_stats: Sequence):
-    """Field-wise arithmetic mean across runs.
-
-    Accepts a sequence of DistStats, of ShapeStats, or of plain reals, and
-    returns the same shape. NaN entries (undefined per-run statistics)
-    propagate into the aggregate.
-    """
-    if len(per_run_stats) == 0:
-        raise ValueError("cannot aggregate an empty sequence of statistics")
-    first = per_run_stats[0]
-    if isinstance(first, (DistStats, ShapeStats)):
-        cls = type(first)
-        if any(type(item) is not cls for item in per_run_stats):
-            raise ValueError("cannot aggregate mixed statistic types")
-        means = {
-            f.name: float(np.mean([getattr(item, f.name) for item in per_run_stats]))
-            for f in fields(cls)
-        }
-        return cls(**means)
-    return float(np.mean([float(item) for item in per_run_stats]))

@@ -8,7 +8,6 @@ a delta report can print computed-vs-reference differences.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import json
 import os
@@ -18,8 +17,6 @@ from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
 from typing import IO, Iterator, Sequence
-
-import numpy as np
 
 from .core import RunResult, ScenarioConfig
 from .experiments import Condition, ScenarioSummary
@@ -133,7 +130,7 @@ def write_runs_csv(runs: Sequence[RunResult], destination: IO[bytes]) -> int:
             n = len(rewards)
             columns = (
                 range(n),
-                run.profile.factors.tolist(),
+                run.factors.tolist(),
                 rewards.tolist(),
                 run.win_count.tolist(),
                 run.active_time.tolist(),
@@ -145,33 +142,6 @@ def write_runs_csv(runs: Sequence[RunResult], destination: IO[bytes]) -> int:
     except OSError as exc:
         raise OSError(f"participant CSV write failed: {exc}") from exc
     return total
-
-
-def read_participant_csv(source: IO[bytes]) -> list[dict]:
-    """Parse a participant CSV back into per-row dicts (inverse of the writer)."""
-    types = dict(zip(CSV_HEADER.split(","), (int, int, float, float, int, float, int)))
-    reader = csv.DictReader(source.read().decode("utf-8").splitlines())
-    return [{key: cast(record[key]) for key, cast in types.items()} for record in reader]
-
-
-def emit_reward_histogram(source, bin_width: float) -> list[tuple[float, int]]:
-    """Bin rewards into left-closed right-open bins of bin_width starting at 0.
-
-    ``source`` is a RunResult or a vector of rewards. Returns (lower edge,
-    count) pairs covering bin 0 through the last occupied bin; counts sum to
-    the participant count.
-    """
-    if bin_width <= 0:
-        raise ValueError(f"bin width must be positive, got {bin_width}")
-    rewards = source.cumulative_reward if isinstance(source, RunResult) else source
-    arr = np.asarray(rewards, dtype=float)
-    if arr.size == 0:
-        return []
-    if arr.min() < 0:
-        raise ValueError("rewards must be non-negative; bins start at 0")
-    indices = np.floor(arr / bin_width).astype(np.int64)
-    counts = np.bincount(indices)
-    return [(float(i * bin_width), int(c)) for i, c in enumerate(counts)]
 
 
 def _select_summaries(summaries: Sequence[ScenarioSummary], which: str) -> list[ScenarioSummary]:
@@ -321,8 +291,7 @@ def config_from_dict(data: dict) -> ScenarioConfig:
     kwargs["perf_range"] = tuple(kwargs["perf_range"])
     kwargs["multiplier_range"] = tuple(kwargs["multiplier_range"])
     if kwargs.get("high_perf_override") is not None:
-        pid, factor = kwargs["high_perf_override"]
-        kwargs["high_perf_override"] = (int(pid), float(factor))
+        kwargs["high_perf_override"] = tuple(kwargs["high_perf_override"])
     return ScenarioConfig(**kwargs)
 
 
@@ -406,7 +375,7 @@ def atomic_writer(path: Path) -> Iterator[IO[bytes]]:
         raise
 
 
-def _json_bytes(payload: dict) -> bytes:
+def json_bytes(payload: dict) -> bytes:
     return (json.dumps(payload, indent=2) + "\n").encode("utf-8")
 
 
@@ -429,7 +398,7 @@ def write_bundle(
     names = [_summary_filename(summary) for summary in summaries]
     # Keyed by path: a team size listed twice names one file, written once.
     files = {
-        summaries_dir / name: _json_bytes(summary_to_dict(summary))
+        summaries_dir / name: json_bytes(summary_to_dict(summary))
         for name, summary in zip(names, summaries)
     }
     bundle = ReportBundle(
@@ -453,7 +422,7 @@ def write_bundle(
     # leaves its writers in reverse order, so the manifest, entered first, is
     # moved into place last.
     with ExitStack() as stack:
-        for path, data in [(out_dir / "manifest.json", _json_bytes(manifest)), *files.items()]:
+        for path, data in [(out_dir / "manifest.json", json_bytes(manifest)), *files.items()]:
             sink = stack.enter_context(atomic_writer(path))
             sink.write(data)
             sink.flush()

@@ -7,6 +7,7 @@ numpy supplies only the random streams the engine's contract names.
 
 from __future__ import annotations
 
+import csv
 import math
 
 import numpy as np
@@ -64,11 +65,19 @@ def csv_rows_oracle(runs):
         rewards = run.cumulative_reward.tolist()
         for pid in range(len(rewards)):
             lines.append(
-                f"{run_id},{pid},{format(float(run.profile.factors[pid]), '.6g')},"
+                f"{run_id},{pid},{format(float(run.factors[pid]), '.6g')},"
                 f"{format(float(rewards[pid]), '.6g')},{int(run.win_count[pid])},"
                 f"{format(float(run.active_time[pid]), '.6g')},{competition_rank(rewards, pid)}"
             )
     return "".join(line + "\n" for line in lines).encode("utf-8")
+
+
+def read_participant_csv(source):
+    """Parse runs.csv bytes back into one dict per row, typed by column."""
+    types = {"run_id": int, "participant_id": int, "performance_factor": float, "reward": float,
+             "wins": int, "active_time_seconds": float, "rank": int}
+    reader = csv.DictReader(source.read().decode("utf-8").splitlines())
+    return [{key: cast(record[key]) for key, cast in types.items()} for record in reader]
 
 
 def splitmix64_outputs(seed, count):

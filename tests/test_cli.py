@@ -1,11 +1,18 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from potsim.cli import (
+    PAPER_DEFAULTS,
     CliInvocation,
     UsageError,
     entrypoint,
@@ -266,6 +273,14 @@ def _rank_count(key, value):
     return edit
 
 
+def _override(value):
+    def edit(summary):
+        summary["config"]["high_perf_override"] = value
+        return summary
+
+    return edit
+
+
 BAD_BUNDLES = [
     ("summary", _drop_correlation, "missing key 'correlation'"),
     ("manifest", _drop_summaries, "missing key 'summaries'"),
@@ -275,6 +290,8 @@ BAD_BUNDLES = [
     ("ranking", _rank_count("1", 2.7), "key '1' must be a non-negative integer, got 2.7"),
     ("ranking", _rank_count("2", "1"), "key '2' must be a non-negative integer, got '1'"),
     ("ranking", _rank_count("3", True), "key '3' must be a non-negative integer, got True"),
+    ("ranking", _override([3.9, 2.5]), "high_perf_override id must be an integer, got 3.9"),
+    ("ranking", _override(["3", 2.5]), "high_perf_override id must be an integer, got '3'"),
 ]
 
 
@@ -282,7 +299,8 @@ BAD_BUNDLES = [
     "target, edit, message",
     BAD_BUNDLES,
     ids=["missing_summary_key", "missing_manifest_summaries", "non_string_name", "non_object_json",
-         "non_number_value", "fractional_rank_count", "string_rank_count", "bool_rank_count"],
+         "non_number_value", "fractional_rank_count", "string_rank_count", "bool_rank_count",
+         "fractional_override_id", "string_override_id"],
 )
 def test_malformed_bundle_exits_2_with_one_line(tmp_path, capsys, target, edit, message):
     if target == "ranking":
@@ -314,6 +332,17 @@ def test_failed_runs_csv_write_exits_2_and_leaves_no_temp_file(tmp_path, capsys)
     assert len(err.splitlines()) == 1 and err.startswith("error: ") and "runs.csv" in err
     assert sorted(read_tree(tmp_path)) == ["manifest.json", "summaries/homogeneous_n004.json"]
     assert (tmp_path / "runs.csv").is_dir()
+
+
+def test_failed_report_write_exits_2_and_leaves_no_temp_file(tmp_path, capsys):
+    assert entrypoint(run_args(tmp_path)) == 0
+    (tmp_path / "delta_report.txt").mkdir()
+    capsys.readouterr()
+    assert entrypoint(["report", "--from", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert not list(tmp_path.rglob(".*.tmp"))
+    assert (tmp_path / "delta_report.txt").is_dir()
 
 
 @pytest.mark.parametrize("command", ["run", "sweep"])
@@ -367,6 +396,7 @@ BAD_CONFIG_FILES = [
     {"perf_range": 5},
     {"high_perf_override": [1, 2.5, 3]},
     {"redraw_profile_per_run": 0},
+    {"perf_range": [5e-324, 5e-324]},
 ]
 BAD_FLAGS = [
     ["--perf-range", "0.8,inf"],
@@ -375,19 +405,91 @@ BAD_FLAGS = [
     ["--reward", "inf"],
     ["--high-perf-factor", "nan"],
 ]
+BAD_SWEEP_FLAGS = [
+    ["--team-sizes", "2,2"],
+]
 
 
 @pytest.mark.parametrize(
-    "config, flags",
-    [(c, []) for c in BAD_CONFIG_FILES] + [({}, f) for f in BAD_FLAGS],
-    ids=[json.dumps(c) for c in BAD_CONFIG_FILES] + [" ".join(f) for f in BAD_FLAGS],
+    "command, config, flags",
+    [("run", c, []) for c in BAD_CONFIG_FILES]
+    + [("run", {}, f) for f in BAD_FLAGS]
+    + [("sweep", {}, f) for f in BAD_SWEEP_FLAGS],
+    ids=[json.dumps(c) for c in BAD_CONFIG_FILES]
+    + [" ".join(f) for f in BAD_FLAGS]
+    + ["sweep " + " ".join(f) for f in BAD_SWEEP_FLAGS],
 )
-def test_bad_config_input_exits_1_with_one_line(tmp_path, capsys, config, flags):
+def test_bad_config_input_exits_1_with_one_line(tmp_path, capsys, command, config, flags):
     config_file = tmp_path / "config.json"
     config_file.write_text(json.dumps({"rounds": 2, "runs": 1, **config}))
-    argv = ["run", "--config", str(config_file), *flags, "--out", str(tmp_path / "out")]
+    argv = [command, "--config", str(config_file), *flags, "--out", str(tmp_path / "out")]
     assert entrypoint(argv) == 1
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert not (tmp_path / "out").exists()
+
+
+# Any JSON value; NaN and infinities are not JSON.
+reals = st.floats(allow_nan=False, allow_infinity=False)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | reals | st.text(max_size=5),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=5), children, max_size=3),
+    max_leaves=8,
+)
+# A config is drawn with valid values of any magnitude (the three sizes
+# always present and small, so that no example falls back to the 1600 x
+# 1600 x 100 defaults). Then, in most examples, one key is set to any JSON
+# value; a size only to a non-integer or a negative one, so that it stays small.
+positive_reals = st.floats(min_value=0, exclude_min=True, allow_infinity=False) | st.sampled_from(
+    (1e-12, 1e12)
+)
+sizes = {
+    "participant_count": st.sampled_from((1, 4, 12, 24)),
+    "rounds": st.integers(0, 6),
+    "runs": st.integers(0, 3),
+}
+typed_fields = {
+    "team_size": st.sampled_from((1, 2, 4)),
+    "base_time": positive_reals,
+    "reward_per_round": positive_reals,
+    "perf_range": st.lists(positive_reals, min_size=2, max_size=2).map(sorted),
+    "multiplier_range": st.lists(positive_reals, min_size=2, max_size=2).map(sorted),
+    "high_perf_override": st.tuples(st.integers(0, 3), positive_reals).map(list),
+    "master_seed": st.integers(0, 2**64 - 1),
+    "redraw_profile_per_run": st.booleans(),
+}
+assert set(sizes) | set(typed_fields) == set(PAPER_DEFAULTS)
+bad_sizes = st.integers(max_value=-1) | json_values.filter(
+    lambda v: isinstance(v, bool) or not isinstance(v, int)
+)
+other_keys = st.sampled_from(sorted(typed_fields)) | st.text(max_size=5).filter(
+    lambda key: key not in sizes
+)
+config_objects = st.builds(
+    lambda config, edit: config if edit is None else {**config, edit[0]: edit[1]},
+    st.fixed_dictionaries(sizes, optional=typed_fields),
+    st.none()
+    | st.tuples(other_keys, json_values)
+    | st.tuples(st.sampled_from(sorted(sizes)), bad_sizes),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(config=config_objects)
+def test_any_json_config_runs_or_exits_1_with_one_line(config):
+    with tempfile.TemporaryDirectory() as tmp:
+        config_file = Path(tmp) / "config.json"
+        config_file.write_text(json.dumps(config))
+        stderr = io.StringIO()
+        # A warning would reach stderr as two more lines, so it counts as output.
+        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(
+            stderr
+        ), contextlib.redirect_stdout(io.StringIO()):
+            warnings.simplefilter("always")
+            status = entrypoint(["run", "--config", str(config_file), "--out", str(Path(tmp) / "out")])
+    err = stderr.getvalue()
+    assert status in (0, 1), err
+    assert len(err.splitlines()) <= 1 and "Traceback" not in err
+    assert not caught, [str(w.message) for w in caught]

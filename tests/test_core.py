@@ -8,9 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from potsim import (
+from potsim.core import (
     ConfigurationError,
-    PerformanceProfile,
     ScenarioConfig,
     draw_performance_profile,
     execute_round,
@@ -67,24 +66,25 @@ def test_config_allows_degenerate_rounds_and_runs():
 
 def test_degenerate_interval_gives_constant_factors():
     cfg = config(perf_range=(1.0, 1.0))
-    profile = draw_performance_profile(cfg, np.random.default_rng(0))
-    assert np.all(profile.factors == 1.0)
+    factors = draw_performance_profile(cfg, np.random.default_rng(0))
+    assert np.all(factors == 1.0)
+    assert not factors.flags.writeable
 
 
 def test_override_replaces_one_factor():
     cfg = config(
         participant_count=8, team_size=2, high_perf_override=(5, 2.5)
     )
-    profile = draw_performance_profile(cfg, np.random.default_rng(1))
-    assert profile.factors[5] == 2.5
-    others = np.delete(profile.factors, 5)
+    factors = draw_performance_profile(cfg, np.random.default_rng(1))
+    assert factors[5] == 2.5
+    others = np.delete(factors, 5)
     assert np.all((others >= 0.8) & (others <= 1.5))
 
 
 def test_sample_mean_matches_uniform_expectation():
     cfg = config(participant_count=100_000, team_size=1)
-    profile = draw_performance_profile(cfg, np.random.default_rng(2))
-    assert abs(profile.factors.mean() - 1.15) < 0.01
+    factors = draw_performance_profile(cfg, np.random.default_rng(2))
+    assert abs(factors.mean() - 1.15) < 0.01
 
 
 # -- form_teams ----------------------------------------------------------------
@@ -141,12 +141,11 @@ def test_member_times_pinned_values():
     # A degenerate multiplier range pins the multiplier; after one round a
     # participant's active time is its member time.
     pow_cfg = config(participant_count=2, team_size=1, rounds=1, multiplier_range=(0.8, 0.8))
-    profile = PerformanceProfile(factors=np.array([2.5, 1.0]))
-    assert run_simulation(pow_cfg, 0, profile).active_time.tolist() == [192.0, 480.0]
+    assert run_simulation(pow_cfg, 0, np.array([2.5, 1.0])).active_time.tolist() == [192.0, 480.0]
     big_cfg = config(participant_count=64, team_size=64, rounds=1, multiplier_range=(1.2, 1.2))
     factors = np.full(64, 1.2)
     factors[0] = 0.8
-    active_time = run_simulation(big_cfg, 0, PerformanceProfile(factors=factors)).active_time
+    active_time = run_simulation(big_cfg, 0, factors).active_time
     assert active_time[0] == 14.0625
     assert active_time[1] == 9.375
 
@@ -159,6 +158,18 @@ def test_config_rejects_nonpositive_factors():
             config(perf_range=(bad, 1.5))
         with pytest.raises(ConfigurationError, match="factor must be positive"):
             config(high_perf_override=(0, bad))
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("base_time", 1e13), ("reward_per_round", 1e-13), ("perf_range", (5e-324, 5e-324)),
+     ("multiplier_range", (1.0, 2e12)), ("high_perf_override", (0, 1e300))],
+)
+def test_config_rejects_reals_outside_engine_range(field, value):
+    # 600 s / 5e-324 is infinite, and 1e300 squared overflows the correlation.
+    with pytest.raises(ConfigurationError, match=r"must lie in \[1e-12, 1e12\]"):
+        config(**{field: value})
+    config(base_time=1e12, reward_per_round=1e-12, perf_range=(1e-12, 1e12))
 
 
 # -- execute_round ----------------------------------------------------------------
@@ -200,8 +211,8 @@ def test_execute_round_member_times_within_bounds():
     cfg = config(participant_count=40, team_size=4, rounds=1)
     result = run_simulation(cfg, run_seed=11)
     work = cfg.base_time / cfg.team_size
-    lo = work * 0.8 / result.profile.factors.max()
-    hi = work * 1.2 / result.profile.factors.min()
+    lo = work * 0.8 / result.factors.max()
+    hi = work * 1.2 / result.factors.min()
     assert result.active_time.min() >= lo - 1e-12
     assert result.active_time.max() <= hi + 1e-12
 
@@ -251,7 +262,7 @@ def test_same_seed_reproduces_bit_identical_result():
     assert np.array_equal(a.cumulative_reward, b.cumulative_reward)
     assert np.array_equal(a.win_count, b.win_count)
     assert np.array_equal(a.active_time, b.active_time)
-    assert np.array_equal(a.profile.factors, b.profile.factors)
+    assert np.array_equal(a.factors, b.factors)
     assert a.total_active_time == b.total_active_time
 
 
@@ -271,15 +282,13 @@ def test_pow_winner_each_round_takes_full_reward():
 
 def test_supplied_profile_is_used():
     cfg = config(perf_range=(0.8, 1.5))
-    profile = PerformanceProfile(factors=np.full(4, 1.3))
-    result = run_simulation(cfg, run_seed=5, profile=profile)
-    assert np.all(result.profile.factors == 1.3)
+    result = run_simulation(cfg, run_seed=5, factors=np.full(4, 1.3))
+    assert np.all(result.factors == 1.3)
 
 
 def test_supplied_profile_length_checked():
-    profile = PerformanceProfile(factors=np.ones(3))
     with pytest.raises(ConfigurationError, match="length"):
-        run_simulation(config(), run_seed=5, profile=profile)
+        run_simulation(config(), run_seed=5, factors=np.ones(3))
 
 
 def test_expected_total_time_law():
@@ -315,14 +324,14 @@ def test_run_matches_contract_v2_oracle(participants, team_size, rounds, shared)
     cfg = config(participant_count=participants, team_size=team_size, rounds=rounds,
                  high_perf_override=(participants // 2, 2.5))
     run_seed = 12345 + team_size
-    profile = None
+    shared_factors = None
     if shared:
-        profile = draw_performance_profile(cfg, np.random.default_rng(99))
-    result = run_simulation(cfg, run_seed, profile)
+        shared_factors = draw_performance_profile(cfg, np.random.default_rng(99))
+    result = run_simulation(cfg, run_seed, shared_factors)
     expected_factors = np.random.default_rng(run_seed).uniform(0.8, 1.5, participants)
     expected_factors[participants // 2] = 2.5
-    factors = profile.factors if shared else expected_factors
-    assert np.array_equal(result.profile.factors, factors)
+    factors = shared_factors if shared else expected_factors
+    assert np.array_equal(result.factors, factors)
     wins, active = oracles.contract_v2_run(
         participants, team_size, rounds, run_seed, cfg.work_time, cfg.multiplier_range,
         factors,

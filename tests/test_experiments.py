@@ -1,23 +1,26 @@
 from __future__ import annotations
 
 import math
+import warnings
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
 import oracles
-from potsim import (
+from potsim import experiments
+from potsim.core import ConfigurationError, ScenarioConfig
+from potsim.experiments import (
     Condition,
-    ConfigurationError,
-    ScenarioConfig,
     SweepSpec,
     derive_run_seed,
     execute_runs,
     execute_scenario,
+    mix64,
+    scenario_config,
     summarize_runs,
     sweep_team_sizes,
 )
-from potsim.experiments import mix64, scenario_config
 from potsim.reporting import summary_label
 
 
@@ -68,10 +71,16 @@ def test_degenerate_scenario():
 
 
 def test_zero_runs_is_legal():
-    cfg = ScenarioConfig(participant_count=12, team_size=3, rounds=5, runs=0)
+    cfg = ScenarioConfig(participant_count=12, team_size=3, rounds=5, runs=0,
+                         high_perf_override=(2, 2.5))
     assert execute_runs(cfg) == []
-    summary = execute_scenario(cfg)
-    assert math.isnan(summary.reward_stats.mean)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        summary = execute_scenario(cfg)
+    values = [*astuple(summary.reward_stats), *astuple(summary.shape_stats),
+              summary.correlation, summary.total_active_time_mean]
+    assert len(values) == 11 and all(math.isnan(v) for v in values)
+    assert summary.ranking.total() == 0
 
 
 def test_mean_reward_is_exact(ci_config):
@@ -122,7 +131,7 @@ def test_shared_profile_reused_across_runs():
     )
     runs = execute_runs(cfg)
     for run in runs[1:]:
-        assert np.array_equal(run.profile.factors, runs[0].profile.factors)
+        assert np.array_equal(run.factors, runs[0].factors)
 
 
 def test_redrawn_profiles_differ():
@@ -130,7 +139,41 @@ def test_redrawn_profiles_differ():
         participant_count=20, team_size=2, rounds=5, runs=3, master_seed=11
     )
     runs = execute_runs(cfg)
-    assert not np.array_equal(runs[0].profile.factors, runs[1].profile.factors)
+    assert not np.array_equal(runs[0].factors, runs[1].factors)
+
+
+@pytest.mark.parametrize(
+    "workers, runs, cpus, expected",
+    [(64, 10, 3, 3), (2, 10, 3, 2), (8, 2, 3, 2), (8, 10, None, None), (8, 1, 3, None)],
+)
+def test_pool_size_capped_by_runs_and_cpus(monkeypatch, workers, runs, cpus, expected):
+    # os.cpu_count() may return None; the pool then gets one process, i.e. none.
+    sizes = []
+
+    class SerialPool:
+        """Stands in for ProcessPoolExecutor: records its size, runs tasks here."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
+    cfg = ScenarioConfig(participant_count=8, team_size=2, rounds=3, runs=runs, master_seed=2)
+    results = execute_runs(cfg, workers=workers)
+    assert sizes == ([] if expected is None else [expected])
+    monkeypatch.undo()
+    assert [r.win_count.tolist() for r in results] == [
+        r.win_count.tolist() for r in execute_runs(cfg)
+    ]
 
 
 def test_correlation_aggregates_per_run_coefficients():
@@ -138,7 +181,7 @@ def test_correlation_aggregates_per_run_coefficients():
     runs = execute_runs(cfg)
     summary = summarize_runs(cfg, runs)
     per_run = [
-        oracles.pearson(run.profile.factors.tolist(), run.cumulative_reward.tolist())
+        oracles.pearson(run.factors.tolist(), run.cumulative_reward.tolist())
         for run in runs
     ]
     assert summary.correlation == pytest.approx(sum(per_run) / len(per_run), rel=1e-9)
@@ -168,6 +211,11 @@ def test_singleton_sweep_is_pow():
     summaries = sweep_team_sizes(spec)
     assert len(summaries) == 1
     assert summary_label(summaries[0]) == "PoW"
+
+
+def test_sweep_rejects_repeated_team_size():
+    with pytest.raises(ConfigurationError, match="repeat"):
+        SweepSpec(base_config=base_sweep_config(), team_sizes=(1, 2, 1))
 
 
 def test_sweep_rejects_indivisible_before_running():

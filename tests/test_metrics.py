@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -8,17 +9,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from potsim import (
+from potsim.core import RunResult, ScenarioConfig
+from potsim.experiments import summarize_runs
+from potsim.metrics import (
     DistStats,
-    ShapeStats,
-    aggregate_stats_over_runs,
+    RankingHistogram,
+    competition_ranks,
     distribution_stats,
     excess_kurtosis,
     pearson_correlation,
     ranking_histogram,
     skewness,
 )
-from potsim.metrics import RankingHistogram, competition_ranks
 
 finite_floats = st.floats(-100, 100, allow_nan=False, allow_infinity=False)
 # Rounded values with a minimum spread, so variances cannot underflow to zero.
@@ -193,48 +195,82 @@ def test_ranking_histogram_single_run():
     assert hist.total() == 1
 
 
-def test_ranking_histogram_rejects_empty():
-    with pytest.raises(ValueError):
-        ranking_histogram([], 0)
-
-
-# -- aggregation -----------------------------------------------------------------
-
-
-def test_aggregate_single_is_identity():
-    stats = DistStats(1, 2, 3, 4, 5, 6, 7)
-    assert aggregate_stats_over_runs([stats]) == stats
-
-
-def test_aggregate_averages_fieldwise():
-    a = DistStats(10, 1, 0, 1, 2, 3, 590)
-    b = DistStats(10, 3, 0, 2, 3, 4, 600)
-    merged = aggregate_stats_over_runs([a, b])
-    assert merged.max == 595
-    assert merged.std_dev == 2
-
-
-def test_aggregate_mean_of_constant_means():
-    stats = [DistStats(10, i, 0, 0, 0, 0, 0) for i in range(100)]
-    assert aggregate_stats_over_runs(stats).mean == pytest.approx(10, rel=1e-12)
-
-
-def test_aggregate_reals_and_shapes():
-    assert aggregate_stats_over_runs([1.0, 2.0, 3.0]) == 2.0
-    merged = aggregate_stats_over_runs([ShapeStats(1, 2), ShapeStats(3, 4)])
-    assert merged == ShapeStats(2, 3)
-
-
-def test_aggregate_rejects_empty_and_mixed():
-    with pytest.raises(ValueError):
-        aggregate_stats_over_runs([])
-    with pytest.raises(ValueError, match="mixed"):
-        aggregate_stats_over_runs([ShapeStats(1, 2), DistStats(1, 2, 3, 4, 5, 6, 7)])
+def test_ranking_histogram_empty_is_all_zero():
+    hist = ranking_histogram([], 0)
+    assert hist.counts == {rank: 0 for rank in range(1, 11)}
+    assert hist.eleven_or_lower == 0
 
 
 def test_ranking_histogram_type_totals():
     hist = RankingHistogram(counts={r: 1 for r in range(1, 11)}, eleven_or_lower=5)
     assert hist.total() == 15
+
+
+# -- aggregation over runs (summarize_runs) ----------------------------------------
+
+
+def make_run(rewards, factors=(1.0, 1.2, 1.4, 0.9), active=(1.0, 2.0, 3.0, 4.0)) -> RunResult:
+    rewards = np.asarray(rewards, dtype=float)
+    return RunResult(
+        cumulative_reward=rewards,
+        win_count=np.zeros(rewards.size, dtype=np.int64),
+        active_time=np.asarray(active, dtype=float),
+        factors=np.asarray(factors, dtype=float),
+    )
+
+
+SUMMARY_CONFIG = ScenarioConfig(participant_count=4, team_size=1, rounds=1, runs=1)
+
+
+def per_run_values(run) -> list[float]:
+    rewards = run.cumulative_reward
+    return [
+        *astuple(distribution_stats(rewards)),
+        skewness(rewards),
+        excess_kurtosis(rewards),
+        pearson_correlation(run.factors, rewards),
+        run.total_active_time,
+    ]
+
+
+def summary_values(summary) -> list[float]:
+    return [
+        *astuple(summary.reward_stats),
+        *astuple(summary.shape_stats),
+        summary.correlation,
+        summary.total_active_time_mean,
+    ]
+
+
+def test_aggregate_single_is_identity():
+    run = make_run([0.0, 10.0, 5.0, 25.0])
+    assert summary_values(summarize_runs(SUMMARY_CONFIG, [run])) == per_run_values(run)
+
+
+def test_aggregate_averages_fieldwise():
+    a = make_run([0.0, 10.0, 20.0, 590.0])
+    b = make_run([0.0, 0.0, 30.0, 600.0])
+    merged = summarize_runs(SUMMARY_CONFIG, [a, b])
+    assert merged.reward_stats.max == 595
+    assert merged.reward_stats.min == 0
+    assert merged.reward_stats.mean == (155 + 157.5) / 2
+
+
+def test_aggregate_mean_of_constant_means():
+    runs = [make_run([10.0 - i, 10.0, 10.0, 10.0 + i]) for i in range(100)]
+    summary = summarize_runs(SUMMARY_CONFIG, runs)
+    assert summary.reward_stats.mean == pytest.approx(10, rel=1e-12)
+
+
+def test_aggregate_reals_and_shapes():
+    # Every field, shape statistics and reals included, is numpy's mean of
+    # the per-run values, bit for bit. Pairwise summation only differs from a
+    # running sum past 8 values, so 150 runs pin the order of the additions.
+    rng = np.random.default_rng(8)
+    runs = [make_run(rng.uniform(0, 100, 4), active=rng.uniform(0, 1e6, 4)) for _ in range(150)]
+    columns = zip(*(per_run_values(run) for run in runs))
+    expected = [float(np.mean(column)) for column in columns]
+    assert summary_values(summarize_runs(SUMMARY_CONFIG, runs)) == expected
 
 
 # -- brute-force oracle equivalence ------------------------------------------------

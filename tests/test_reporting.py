@@ -7,24 +7,23 @@ import numpy as np
 import pytest
 
 import oracles
-from potsim import (
-    ScenarioConfig,
-    emit_table,
+from potsim.core import ScenarioConfig, run_simulation
+from potsim.experiments import (
+    Condition,
+    SweepSpec,
     execute_runs,
-    run_simulation,
-    scenario_label,
     summarize_runs,
+    sweep_team_sizes,
 )
-from potsim.experiments import Condition, SweepSpec, sweep_team_sizes
 from potsim.reporting import (
     CSV_HEADER,
     REFERENCE_TABLES,
     config_from_dict,
     config_to_dict,
-    emit_reward_histogram,
+    emit_table,
     load_bundle,
-    read_participant_csv,
     render_delta_report,
+    scenario_label,
     summary_from_dict,
     summary_to_dict,
     write_bundle,
@@ -67,7 +66,7 @@ def test_csv_zero_rounds_all_tied_at_rank_one():
     _, run = small_run(rounds=0)
     sink = io.BytesIO()
     write_runs_csv([run], sink)
-    rows = read_participant_csv(io.BytesIO(sink.getvalue()))
+    rows = oracles.read_participant_csv(io.BytesIO(sink.getvalue()))
     assert all(row["reward"] == 0 for row in rows)
     assert all(row["rank"] == 1 for row in rows)
 
@@ -84,13 +83,13 @@ def test_csv_round_trip_exact_at_emitted_precision():
     _, run = small_run(rounds=25)
     sink = io.BytesIO()
     write_runs_csv([run], sink)
-    rows = read_participant_csv(io.BytesIO(sink.getvalue()))
+    rows = oracles.read_participant_csv(io.BytesIO(sink.getvalue()))
     for pid, row in enumerate(rows):
         assert row["run_id"] == 0
         assert row["participant_id"] == pid
         assert row["wins"] == int(run.win_count[pid])
         assert row["reward"] == float(f"{run.cumulative_reward[pid]:.6g}")
-        assert row["performance_factor"] == float(f"{run.profile.factors[pid]:.6g}")
+        assert row["performance_factor"] == float(f"{run.factors[pid]:.6g}")
         assert row["rank"] == oracles.competition_rank(run.cumulative_reward.tolist(), pid)
 
 
@@ -99,7 +98,7 @@ def test_runs_csv_concatenates_with_run_ids():
     runs = execute_runs(cfg)
     sink = io.BytesIO()
     assert write_runs_csv(runs, sink) == 12
-    rows = read_participant_csv(io.BytesIO(sink.getvalue()))
+    rows = oracles.read_participant_csv(io.BytesIO(sink.getvalue()))
     assert [row["run_id"] for row in rows] == [0] * 4 + [1] * 4 + [2] * 4
 
 
@@ -133,28 +132,6 @@ def test_runs_csv_write_failure_is_wrapped():
     _, run = small_run()
     with pytest.raises(OSError, match="participant CSV write failed: disk full"):
         write_runs_csv([run], _FailingSink())
-
-
-# -- reward histogram --------------------------------------------------------------
-
-
-def test_histogram_direct_binning():
-    assert emit_reward_histogram([0, 0, 5, 10], 5) == [(0.0, 2), (5.0, 1), (10.0, 1)]
-
-
-def test_histogram_single_bin_when_width_exceeds_max():
-    assert emit_reward_histogram([0, 1, 2, 3], 10) == [(0.0, 4)]
-
-
-def test_histogram_counts_conserved():
-    _, run = small_run(rounds=30)
-    bins = emit_reward_histogram(run, 7.5)
-    assert sum(count for _, count in bins) == 4
-
-
-def test_histogram_rejects_bad_width():
-    with pytest.raises(ValueError, match="bin width"):
-        emit_reward_histogram([1.0], 0)
 
 
 # -- tables ------------------------------------------------------------------------
