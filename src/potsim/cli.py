@@ -158,9 +158,6 @@ def _load_config_file(path: str) -> dict:
     unknown = set(data) - allowed
     if unknown:
         raise UsageError(f"config file {path} has unknown keys: {sorted(unknown)}")
-    for key in ("perf_range", "multiplier_range", "high_perf_override"):
-        if isinstance(data.get(key), list):
-            data[key] = tuple(data[key])
     return data
 
 
@@ -380,6 +377,10 @@ def entrypoint(argv: list[str] | None = None) -> int:
         return 1
     except (OSError, ValueError, ConfigurationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return 2
 
 

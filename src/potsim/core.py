@@ -86,6 +86,9 @@ class ScenarioConfig:
                 isinstance(pair, (tuple, list)) and len(pair) == 2,
                 f"{name} must be a pair, got {pair!r}",
             )
+            # Stored as a tuple, so a config read from JSON lists equals and
+            # hashes like one built from tuples.
+            object.__setattr__(self, name, tuple(pair))
         integers = {
             "participant_count": self.participant_count,
             "team_size": self.team_size,

@@ -25,7 +25,6 @@ from .core import (
 )
 from .metrics import (
     DistStats,
-    RankingHistogram,
     ShapeStats,
     distribution_stats,
     excess_kurtosis,
@@ -104,7 +103,8 @@ class ScenarioSummary:
     Statistics are the arithmetic mean of per-run statistics (not pooled
     samples). ``correlation`` averages each run's reward-vs-factor Pearson
     coefficient. ``ranking`` is present only when a high-performance
-    override participant exists to be ranked. Runs with undefined per-run
+    override participant exists to be ranked: its run counts keyed by
+    ``metrics.RANKING_BUCKETS``. Runs with undefined per-run
     statistics (e.g. zero rounds) yield NaN fields.
     """
 
@@ -113,7 +113,7 @@ class ScenarioSummary:
     shape_stats: ShapeStats
     correlation: float
     total_active_time_mean: float
-    ranking: RankingHistogram | None = None
+    ranking: dict[str, int] | None = None
 
     @property
     def condition(self) -> Condition:

@@ -12,8 +12,8 @@ from typing import Sequence
 
 import numpy as np
 
-RANK_BUCKETS = tuple(range(1, 11))
-OVERFLOW_BUCKET = "11_or_lower"
+# Keys of a ranking histogram, in order: ranks 1..10, then every lower rank.
+RANKING_BUCKETS = (*map(str, range(1, 11)), "11_or_lower")
 
 
 @dataclass(frozen=True)
@@ -35,17 +35,6 @@ class ShapeStats:
 
     skewness: float
     excess_kurtosis: float
-
-
-@dataclass(frozen=True)
-class RankingHistogram:
-    """Per-run ranks of one participant, bucketed 1..10 plus an overflow bucket."""
-
-    counts: dict[int, int]
-    eleven_or_lower: int
-
-    def total(self) -> int:
-        return sum(self.counts.values()) + self.eleven_or_lower
 
 
 def _as_float_array(values, minimum: int = 1) -> np.ndarray:
@@ -114,20 +103,16 @@ def competition_ranks(rewards) -> np.ndarray:
     return 1 + np.searchsorted(-np.sort(arr)[::-1], -arr, side="left")
 
 
-def ranking_histogram(runs: Sequence, participant: int) -> RankingHistogram:
-    """Bucket one participant's per-run competition ranks into 1..10 and overflow.
+def ranking_histogram(runs: Sequence, participant: int) -> dict[str, int]:
+    """Count one participant's per-run competition ranks over ``RANKING_BUCKETS``.
 
     Zero runs give all-zero counts.
     """
-    counts = {rank: 0 for rank in RANK_BUCKETS}
-    overflow = 0
+    counts = dict.fromkeys(RANKING_BUCKETS, 0)
     for run in runs:
         size = len(run.cumulative_reward)
         if not 0 <= participant < size:
             raise ValueError(f"participant id {participant} outside population of {size}")
         rank = int(competition_ranks(run.cumulative_reward)[participant])
-        if rank in counts:
-            counts[rank] += 1
-        else:
-            overflow += 1
-    return RankingHistogram(counts=counts, eleven_or_lower=overflow)
+        counts[RANKING_BUCKETS[min(rank, len(RANKING_BUCKETS)) - 1]] += 1
+    return counts

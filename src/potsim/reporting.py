@@ -20,14 +20,7 @@ from typing import IO, Iterator, Sequence
 
 from .core import RunResult, ScenarioConfig
 from .experiments import Condition, ScenarioSummary
-from .metrics import (
-    OVERFLOW_BUCKET,
-    RANK_BUCKETS,
-    DistStats,
-    RankingHistogram,
-    ShapeStats,
-    competition_ranks,
-)
+from .metrics import RANKING_BUCKETS, DistStats, ShapeStats, competition_ranks
 
 TOOL_NAME = "potsim"
 TABLE_IDS = ("rewards", "ranking", "energy", "shape", "correlation")
@@ -48,8 +41,8 @@ REFERENCE_TABLES: dict[str, dict] = {
         "PoTS (64)": {"mean": 10.00, "std_dev": 2.38, "min": 3.97, "p25": 8.15, "median": 10.05, "p75": 11.78, "max": 16.91},
     },
     "ranking": {
-        "PoW": {"1": 100, "2": 0, "3": 0, "4": 0, "5": 0, "6": 0, "7": 0, "8": 0, "9": 0, "10": 0, OVERFLOW_BUCKET: 0},
-        "PoTS (team size unspecified)": {"1": 54, "2": 13, "3": 4, "4": 4, "5": 3, "6": 2, "7": 2, "8": 3, "9": 2, "10": 1, OVERFLOW_BUCKET: 12},
+        "PoW": {"1": 100, "2": 0, "3": 0, "4": 0, "5": 0, "6": 0, "7": 0, "8": 0, "9": 0, "10": 0, "11_or_lower": 0},
+        "PoTS (team size unspecified)": {"1": 54, "2": 13, "3": 4, "4": 4, "5": 3, "6": 2, "7": 2, "8": 3, "9": 2, "10": 1, "11_or_lower": 12},
     },
     "energy": {
         "PoW": {"total_active_time_1e6_s": 1378.89},
@@ -80,12 +73,12 @@ REFERENCE_TABLES: dict[str, dict] = {
     },
 }
 
-# Shape rows with stated reproduction tolerances; rows outside tolerance are
-# flagged in table documents and the delta report. "rel" is relative to the
-# reference value, "abs" is an absolute band around the given center.
-SHAPE_TOLERANCES: dict[str, dict[str, tuple]] = {
-    "PoW": {"skewness": ("rel", 0.20), "excess_kurtosis": ("rel", 0.30)},
-    "PoTS (64)": {"skewness": ("abs", 0.0, 0.1), "excess_kurtosis": ("abs", -0.66, 0.2)},
+# Shape rows with stated reproduction tolerances, as (center, band): a value
+# farther than band from center is flagged in table documents and the delta
+# report. The PoW bands are 20% and 30% of the reference value.
+SHAPE_TOLERANCES: dict[str, dict[str, tuple[float, float]]] = {
+    "PoW": {"skewness": (6.846, 0.20 * 6.846), "excess_kurtosis": (51.47, 0.30 * 51.47)},
+    "PoTS (64)": {"skewness": (0.0, 0.1), "excess_kurtosis": (-0.66, 0.2)},
 }
 
 
@@ -147,13 +140,12 @@ def write_runs_csv(runs: Sequence[RunResult], destination: IO[bytes]) -> int:
 def _select_summaries(summaries: Sequence[ScenarioSummary], which: str) -> list[ScenarioSummary]:
     if which == "ranking":
         chosen = [s for s in summaries if s.ranking is not None]
-        if not chosen:
-            raise ValueError(
-                "ranking table requires at least one high_perf scenario summary"
-            )
     else:
         homogeneous = [s for s in summaries if s.condition is Condition.HOMOGENEOUS]
         chosen = homogeneous or list(summaries)
+    if not chosen:
+        kind = "high_perf scenario" if which == "ranking" else "scenario"
+        raise ValueError(f"{which} table requires at least one {kind} summary")
     chosen = sorted(chosen, key=lambda s: s.config_echo.team_size)
     labels = [summary_label(s) for s in chosen]
     if len(set(labels)) != len(labels):
@@ -165,10 +157,7 @@ def _shape_flag(label: str, metric: str, computed: float) -> bool | None:
     spec = SHAPE_TOLERANCES.get(label, {}).get(metric)
     if spec is None:
         return None
-    if spec[0] == "rel":
-        reference = REFERENCE_TABLES["shape"][label][metric]
-        return abs(computed - reference) > spec[1] * abs(reference)
-    _, center, band = spec
+    center, band = spec
     return abs(computed - center) > band
 
 
@@ -184,17 +173,10 @@ def emit_table(summaries: Sequence[ScenarioSummary], which: str) -> dict:
     chosen = _select_summaries(summaries, which)
 
     if which == "ranking":
-        rank_labels = [str(r) for r in RANK_BUCKETS] + [OVERFLOW_BUCKET]
-        columns = {}
-        for s in chosen:
-            hist = s.ranking
-            col = {str(r): hist.counts[r] for r in RANK_BUCKETS}
-            col[OVERFLOW_BUCKET] = hist.eleven_or_lower
-            columns[summary_label(s)] = col
         return {
             "table": "ranking",
-            "rank_labels": rank_labels,
-            "scenarios": columns,
+            "rank_labels": list(RANKING_BUCKETS),
+            "scenarios": {summary_label(s): s.ranking for s in chosen},
             "reference": REFERENCE_TABLES["ranking"],
         }
 
@@ -267,7 +249,7 @@ def render_delta_report(tables: Sequence[dict]) -> str:
 
 @dataclass(frozen=True)
 class ReportBundle:
-    """Manifest for a directory of emitted results."""
+    """A results directory as read back by ``load_bundle``."""
 
     kind: str
     summaries: list[ScenarioSummary]
@@ -277,38 +259,16 @@ class ReportBundle:
     runs_csv: str | None = None
 
 
-def config_to_dict(config: ScenarioConfig) -> dict:
-    data = dataclasses.asdict(config)
-    data["perf_range"] = list(config.perf_range)
-    data["multiplier_range"] = list(config.multiplier_range)
-    if config.high_perf_override is not None:
-        data["high_perf_override"] = list(config.high_perf_override)
-    return data
-
-
-def config_from_dict(data: dict) -> ScenarioConfig:
-    kwargs = dict(data)
-    kwargs["perf_range"] = tuple(kwargs["perf_range"])
-    kwargs["multiplier_range"] = tuple(kwargs["multiplier_range"])
-    if kwargs.get("high_perf_override") is not None:
-        kwargs["high_perf_override"] = tuple(kwargs["high_perf_override"])
-    return ScenarioConfig(**kwargs)
-
-
 def summary_to_dict(summary: ScenarioSummary) -> dict:
-    ranking = None
-    if summary.ranking is not None:
-        ranking = {str(r): summary.ranking.counts[r] for r in RANK_BUCKETS}
-        ranking[OVERFLOW_BUCKET] = summary.ranking.eleven_or_lower
     return {
         "label": summary_label(summary),
         "condition": summary.condition.value,
-        "config": config_to_dict(summary.config_echo),
+        "config": dataclasses.asdict(summary.config_echo),
         "reward_stats": dataclasses.asdict(summary.reward_stats),
         "shape_stats": dataclasses.asdict(summary.shape_stats),
         "correlation": summary.correlation,
         "total_active_time_mean": summary.total_active_time_mean,
-        "ranking": ranking,
+        "ranking": summary.ranking,
     }
 
 
@@ -339,12 +299,9 @@ def summary_from_dict(data: dict) -> ScenarioSummary:
         raw = data["ranking"]
         if not isinstance(raw, dict):
             raise TypeError(f"key 'ranking' must be an object, got {raw!r}")
-        ranking = RankingHistogram(
-            counts={r: _count(raw, str(r)) for r in RANK_BUCKETS},
-            eleven_or_lower=_count(raw, OVERFLOW_BUCKET),
-        )
+        ranking = {bucket: _count(raw, bucket) for bucket in RANKING_BUCKETS}
     return ScenarioSummary(
-        config_echo=config_from_dict(data["config"]),
+        config_echo=ScenarioConfig(**data["config"]),
         reward_stats=DistStats(**_numbers(data, "reward_stats")),
         shape_stats=ShapeStats(**_numbers(data, "shape_stats")),
         correlation=_number(data, "correlation"),
@@ -385,7 +342,7 @@ def write_bundle(
     summaries: Sequence[ScenarioSummary],
     base_config: ScenarioConfig,
     runs_csv: str | None = None,
-) -> ReportBundle:
+) -> None:
     """Write per-scenario summary JSONs plus a manifest into out_dir.
 
     Every file is written to a temp file before any replaces its old version,
@@ -401,20 +358,12 @@ def write_bundle(
         summaries_dir / name: json_bytes(summary_to_dict(summary))
         for name, summary in zip(names, summaries)
     }
-    bundle = ReportBundle(
-        kind=kind,
-        summaries=list(summaries),
-        config_echo=base_config,
-        created_utc=emission_timestamp(),
-        version=tool_version(),
-        runs_csv=runs_csv,
-    )
     manifest = {
         "tool": TOOL_NAME,
-        "version": bundle.version,
-        "created_utc": bundle.created_utc,
+        "version": tool_version(),
+        "created_utc": emission_timestamp(),
         "kind": kind,
-        "base_config": config_to_dict(base_config),
+        "base_config": dataclasses.asdict(base_config),
         "summaries": names,
         "runs_csv": runs_csv,
     }
@@ -426,7 +375,6 @@ def write_bundle(
             sink = stack.enter_context(atomic_writer(path))
             sink.write(data)
             sink.flush()
-    return bundle
 
 
 def _read_json_object(path: Path, parse):
@@ -446,10 +394,12 @@ def _manifest_fields(data: dict) -> dict:
     names = data["summaries"]
     if not isinstance(names, list) or not all(isinstance(name, str) for name in names):
         raise TypeError(f"key 'summaries' must be a list of file names, got {names!r}")
+    if not names:
+        raise ValueError("key 'summaries' lists no summary files")
     return {
         "kind": data["kind"],
         "summaries": names,
-        "config_echo": config_from_dict(data["base_config"]),
+        "config_echo": ScenarioConfig(**data["base_config"]),
         "created_utc": data["created_utc"],
         "version": data["version"],
         "runs_csv": data.get("runs_csv"),

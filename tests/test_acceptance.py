@@ -145,8 +145,8 @@ def test_criterion_03_energy_scales_inversely_with_team_size(homogeneous_sweep):
 
 def test_criterion_04_pow_dominance_is_total(high_perf_sweep):
     hist = high_perf_sweep[1].ranking
-    ok = hist is not None and hist.counts[1] == 100 and hist.total() == 100
-    report(4, "PoW override dominance", ok, f"first places {hist.counts[1]}/100")
+    ok = hist is not None and hist["1"] == 100 and sum(hist.values()) == 100
+    report(4, "PoW override dominance", ok, f"first places {hist['1']}/100")
     assert ok
 
 
@@ -154,7 +154,7 @@ def test_criterion_05_pots_dominance_dilution(high_perf_scenarios):
     runs = PAPER_DEFAULTS["runs"]
     largest = PAPER_TEAM_SIZES[-1]
     first_places = {
-        n: summary.ranking.counts[1] for n, (summary, _) in high_perf_scenarios.items()
+        n: summary.ranking["1"] for n, (summary, _) in high_perf_scenarios.items()
     }
     # The node earns reward_per_round / N per win; dividing its mean reward
     # by the population mean gives its reward as a multiple of the average.

@@ -245,6 +245,17 @@ def test_runtime_error_exit_status(tmp_path, capsys):
     assert entrypoint(["report", "--from", str(missing)]) == 2
 
 
+@pytest.mark.parametrize("detail", ["Unable to allocate 74.5 GiB", ""])
+def test_out_of_memory_exits_2_with_one_line(tmp_path, capsys, monkeypatch, detail):
+    def exhausted(config, workers=1):
+        raise MemoryError(*([detail] if detail else []))
+
+    monkeypatch.setattr("potsim.cli.execute_runs", exhausted)
+    assert entrypoint(run_args(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"error: out of memory{': ' + detail if detail else ''}"]
+
+
 def _drop_correlation(summary):
     del summary["correlation"]
     return summary
@@ -258,6 +269,11 @@ def _drop_summaries(manifest):
 def _null_mean(summary):
     summary["reward_stats"]["mean"] = None
     return summary
+
+
+def _empty_summaries(manifest):
+    manifest["summaries"] = []
+    return manifest
 
 
 def _number_name(manifest):
@@ -292,6 +308,7 @@ BAD_BUNDLES = [
     ("ranking", _rank_count("3", True), "key '3' must be a non-negative integer, got True"),
     ("ranking", _override([3.9, 2.5]), "high_perf_override id must be an integer, got 3.9"),
     ("ranking", _override(["3", 2.5]), "high_perf_override id must be an integer, got '3'"),
+    ("manifest", _empty_summaries, "key 'summaries' lists no summary files"),
 ]
 
 
@@ -300,7 +317,7 @@ BAD_BUNDLES = [
     BAD_BUNDLES,
     ids=["missing_summary_key", "missing_manifest_summaries", "non_string_name", "non_object_json",
          "non_number_value", "fractional_rank_count", "string_rank_count", "bool_rank_count",
-         "fractional_override_id", "string_override_id"],
+         "fractional_override_id", "string_override_id", "empty_summaries"],
 )
 def test_malformed_bundle_exits_2_with_one_line(tmp_path, capsys, target, edit, message):
     if target == "ranking":

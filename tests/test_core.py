@@ -61,6 +61,14 @@ def test_config_allows_degenerate_rounds_and_runs():
     assert config(runs=0).runs == 0
 
 
+def test_config_stores_pairs_as_tuples():
+    pairs = dict(perf_range=(0.8, 1.5), multiplier_range=(0.9, 1.1), high_perf_override=(1, 2.5))
+    listed = config(**{name: list(pair) for name, pair in pairs.items()})
+    assert listed == config(**pairs)
+    assert hash(listed) == hash(config(**pairs))
+    assert all(type(getattr(listed, name)) is tuple for name in pairs)
+
+
 # -- draw_performance_profile --------------------------------------------------
 
 

@@ -80,7 +80,7 @@ def test_zero_runs_is_legal():
     values = [*astuple(summary.reward_stats), *astuple(summary.shape_stats),
               summary.correlation, summary.total_active_time_mean]
     assert len(values) == 11 and all(math.isnan(v) for v in values)
-    assert summary.ranking.total() == 0
+    assert sum(summary.ranking.values()) == 0
 
 
 def test_mean_reward_is_exact(ci_config):
@@ -112,8 +112,8 @@ def test_pow_override_always_ranks_first():
     )
     summary = execute_scenario(cfg)
     assert summary.ranking is not None
-    assert summary.ranking.counts[1] == 10
-    assert summary.ranking.total() == 10
+    assert summary.ranking["1"] == 10
+    assert sum(summary.ranking.values()) == 10
 
 
 def test_ranking_absent_without_override(ci_config):

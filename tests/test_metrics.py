@@ -13,7 +13,6 @@ from potsim.core import RunResult, ScenarioConfig
 from potsim.experiments import summarize_runs
 from potsim.metrics import (
     DistStats,
-    RankingHistogram,
     competition_ranks,
     distribution_stats,
     excess_kurtosis,
@@ -176,34 +175,28 @@ def test_competition_rank_rejects_bad_id():
 def test_ranking_histogram_always_first():
     runs = [FakeRun([20, 5, 5]) for _ in range(100)]
     hist = ranking_histogram(runs, 0)
-    assert hist.counts[1] == 100
-    assert hist.eleven_or_lower == 0
-    assert hist.total() == 100
+    assert hist["1"] == 100
+    assert hist["11_or_lower"] == 0
+    assert sum(hist.values()) == 100
 
 
 def test_ranking_histogram_bucketing():
     run_rank3 = FakeRun([5, 4, 3, 9, 8] + [0] * 10)
     run_rank15 = FakeRun([1] + list(range(2, 16)))
     hist = ranking_histogram([run_rank3, run_rank15], 0)
-    assert hist.counts[3] == 1
-    assert hist.eleven_or_lower == 1
-    assert hist.total() == 2
+    assert hist["3"] == 1
+    assert hist["11_or_lower"] == 1
+    assert sum(hist.values()) == 2
 
 
 def test_ranking_histogram_single_run():
     hist = ranking_histogram([FakeRun([1, 2])], 0)
-    assert hist.total() == 1
+    assert sum(hist.values()) == 1
 
 
 def test_ranking_histogram_empty_is_all_zero():
     hist = ranking_histogram([], 0)
-    assert hist.counts == {rank: 0 for rank in range(1, 11)}
-    assert hist.eleven_or_lower == 0
-
-
-def test_ranking_histogram_type_totals():
-    hist = RankingHistogram(counts={r: 1 for r in range(1, 11)}, eleven_or_lower=5)
-    assert hist.total() == 15
+    assert list(hist.items()) == [(str(rank), 0) for rank in range(1, 11)] + [("11_or_lower", 0)]
 
 
 # -- aggregation over runs (summarize_runs) ----------------------------------------

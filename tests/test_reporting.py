@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import dataclasses
 import io
+import json
 import math
 
 import numpy as np
@@ -18,8 +20,8 @@ from potsim.experiments import (
 from potsim.reporting import (
     CSV_HEADER,
     REFERENCE_TABLES,
-    config_from_dict,
-    config_to_dict,
+    SHAPE_TOLERANCES,
+    TABLE_IDS,
     emit_table,
     load_bundle,
     render_delta_report,
@@ -161,6 +163,12 @@ def test_ranking_table_requires_high_perf():
         emit_table(sweep_summaries(), "ranking")
 
 
+@pytest.mark.parametrize("which", TABLE_IDS)
+def test_table_without_summaries_is_value_error(which):
+    with pytest.raises(ValueError, match="requires at least one"):
+        emit_table([], which)
+
+
 def test_ranking_table_counts_sum_to_runs():
     summaries = sweep_summaries(conditions=(Condition.HIGH_PERF,), team_sizes=(2, 4))
     doc = emit_table(summaries, "ranking")
@@ -193,6 +201,11 @@ def test_shape_table_flags_out_of_tolerance_rows():
     assert row["flagged"]["skewness"] is True
 
 
+def test_pow_shape_bands_center_on_the_reference():
+    for metric, (center, _) in SHAPE_TOLERANCES["PoW"].items():
+        assert center == REFERENCE_TABLES["shape"]["PoW"][metric]
+
+
 def test_delta_report_mentions_flags_and_references():
     summaries = sweep_summaries(team_sizes=(1, 2))
     docs = [emit_table(summaries, which) for which in ("rewards", "shape", "correlation")]
@@ -214,7 +227,7 @@ def test_config_dict_round_trip():
         high_perf_override=(7, 2.5),
         master_seed=99,
     )
-    assert config_from_dict(config_to_dict(cfg)) == cfg
+    assert ScenarioConfig(**json.loads(json.dumps(dataclasses.asdict(cfg)))) == cfg
 
 
 def test_summary_dict_round_trip():
