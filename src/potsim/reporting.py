@@ -293,6 +293,17 @@ def _count(data: dict, key: str) -> int:
     return value
 
 
+def _config(data: dict, key: str) -> ScenarioConfig:
+    """The config under ``key``, which must give every field: none is defaulted."""
+    fields = data[key]
+    if not isinstance(fields, dict):
+        raise TypeError(f"key {key!r} must be an object, got {fields!r}")
+    for field in dataclasses.fields(ScenarioConfig):
+        if field.name not in fields:
+            raise KeyError(f"{key}.{field.name}")
+    return ScenarioConfig(**fields)
+
+
 def summary_from_dict(data: dict) -> ScenarioSummary:
     ranking = None
     if data.get("ranking") is not None:
@@ -301,7 +312,7 @@ def summary_from_dict(data: dict) -> ScenarioSummary:
             raise TypeError(f"key 'ranking' must be an object, got {raw!r}")
         ranking = {bucket: _count(raw, bucket) for bucket in RANKING_BUCKETS}
     return ScenarioSummary(
-        config_echo=ScenarioConfig(**data["config"]),
+        config_echo=_config(data, "config"),
         reward_stats=DistStats(**_numbers(data, "reward_stats")),
         shape_stats=ShapeStats(**_numbers(data, "shape_stats")),
         correlation=_number(data, "correlation"),
@@ -399,7 +410,7 @@ def _manifest_fields(data: dict) -> dict:
     return {
         "kind": data["kind"],
         "summaries": names,
-        "config_echo": ScenarioConfig(**data["base_config"]),
+        "config_echo": _config(data, "base_config"),
         "created_utc": data["created_utc"],
         "version": data["version"],
         "runs_csv": data.get("runs_csv"),

@@ -281,6 +281,14 @@ def _number_name(manifest):
     return manifest
 
 
+def _drop_config_field(key, field):
+    def edit(data):
+        del data[key][field]
+        return data
+
+    return edit
+
+
 def _rank_count(key, value):
     def edit(summary):
         summary["ranking"][key] = value
@@ -309,6 +317,9 @@ BAD_BUNDLES = [
     ("ranking", _override([3.9, 2.5]), "high_perf_override id must be an integer, got 3.9"),
     ("ranking", _override(["3", 2.5]), "high_perf_override id must be an integer, got '3'"),
     ("manifest", _empty_summaries, "key 'summaries' lists no summary files"),
+    ("summary", _drop_config_field("config", "perf_range"), "missing key 'config.perf_range'"),
+    ("manifest", _drop_config_field("base_config", "master_seed"),
+     "missing key 'base_config.master_seed'"),
 ]
 
 
@@ -317,7 +328,8 @@ BAD_BUNDLES = [
     BAD_BUNDLES,
     ids=["missing_summary_key", "missing_manifest_summaries", "non_string_name", "non_object_json",
          "non_number_value", "fractional_rank_count", "string_rank_count", "bool_rank_count",
-         "fractional_override_id", "string_override_id", "empty_summaries"],
+         "fractional_override_id", "string_override_id", "empty_summaries",
+         "missing_config_field", "missing_base_config_field"],
 )
 def test_malformed_bundle_exits_2_with_one_line(tmp_path, capsys, target, edit, message):
     if target == "ranking":

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from potsim import core
 from potsim.core import (
     ConfigurationError,
     ScenarioConfig,
@@ -186,7 +189,7 @@ def test_config_rejects_reals_outside_engine_range(field, value):
 def test_execute_round_pinned_example():
     # Team t is column t: team 0 is {0, 1}, team 1 is {2, 3}.
     teams = np.array([[0, 2], [1, 3]])
-    winner = execute_round(teams, np.array([300.0, 300.0, 300.0, 150.0]))
+    (winner,) = execute_round(teams[None], np.array([[300.0, 300.0, 300.0, 150.0]]))
     assert winner == 1
     assert teams[:, winner].tolist() == [2, 3]
 
@@ -200,16 +203,18 @@ def test_execute_round_reward_sum_is_reward_per_round():
 
 
 def test_execute_round_pow_winner_is_fastest():
-    (teams,) = form_teams(2, 1, np.random.default_rng(0), 1)
-    winner = execute_round(teams, np.array([540.0, 660.0]))
+    block = form_teams(2, 1, np.random.default_rng(0), 1)
+    (teams,) = block
+    (winner,) = execute_round(block, np.array([[540.0, 660.0]]))
     assert winner == 0
     assert teams[:, winner].tolist() == [0]
 
 
 def test_execute_round_team_time_is_member_sum():
-    (teams,) = form_teams(30, 5, np.random.default_rng(9), 1)
+    block = form_teams(30, 5, np.random.default_rng(9), 1)
+    (teams,) = block
     member_times = np.random.default_rng(8).uniform(50.0, 150.0, 30)
-    winner = execute_round(teams, member_times)
+    (winner,) = execute_round(block, member_times[None])
     team_times = [math.fsum(member_times[team]) for team in teams.T]
     assert abs(team_times[winner] - min(team_times)) <= 1e-9
 
@@ -223,6 +228,60 @@ def test_execute_round_member_times_within_bounds():
     hi = work * 1.2 / result.factors.min()
     assert result.active_time.min() >= lo - 1e-12
     assert result.active_time.max() <= hi + 1e-12
+
+
+@pytest.mark.parametrize("team_size", [1, 3, 24])
+def test_block_winners_match_one_round_blocks(team_size):
+    # A block's winners are those of its rounds taken one at a time (each in
+    # a slice of the scratch the whole block left behind).
+    teams = form_teams(24, team_size, np.random.default_rng(5), 9)
+    member_times = np.random.default_rng(6).uniform(50.0, 150.0, (9, 24))
+    winners = execute_round(teams, member_times)
+    assert winners.shape == (9,)
+    one_by_one = [execute_round(teams[r:r + 1], member_times[r:r + 1])[0] for r in range(9)]
+    assert winners.tolist() == one_by_one
+
+
+@pytest.mark.parametrize(
+    "participants, team_size, rounds",
+    [(160, 8, 0), (160, 8, 1), (160, 8, 250), (1600, 1, 25), (1, 1, 2**14 + 1)],
+)
+def test_run_calls_execute_round_once_per_block(monkeypatch, participants, team_size, rounds):
+    calls = []
+
+    def counted(teams, member_times):
+        calls.append(len(member_times))
+        return execute_round(teams, member_times)
+
+    monkeypatch.setattr(core, "execute_round", counted)
+    run_simulation(config(participant_count=participants, team_size=team_size, rounds=rounds), 1)
+    block = max(1, core._BLOCK_ELEMENTS // participants)
+    assert len(calls) == math.ceil(rounds / block)
+    assert sum(calls) == rounds
+
+
+def test_block_scratch_is_kept_per_thread():
+    here = core._block_scratch(102, 4, 40)
+    assert all(np.shares_memory(a, b) for a, b in zip(here, core._block_scratch(58, 4, 40)))
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        there = pool.submit(core._block_scratch, 102, 4, 40).result(timeout=60)
+    assert not any(np.shares_memory(a, b) for a, b in zip(here, there))
+
+
+def test_threads_running_at_once_match_serial_runs():
+    # Shared scratch would mix the team times of runs in flight at once.
+    configs = [config(participant_count=1600, team_size=size, rounds=20) for size in (4, 4, 8)]
+    tasks = [(cfg, seed) for seed in range(16) for cfg in configs]
+    serial = [run_simulation(cfg, seed).win_count for cfg, seed in tasks]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            threaded = list(pool.map(lambda task: run_simulation(*task).win_count, tasks,
+                                     timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(np.array_equal(a, b) for a, b in zip(serial, threaded))
 
 
 @settings(max_examples=25, deadline=None)
@@ -323,12 +382,18 @@ def test_expected_total_time_law():
         (4096, 8, 42, False),
         (4096, 8, 42, True),
         (24, 3, 25, False),
+        (160, 80, 160, False),
+        (160, 1, 160, False),
+        (160, 160, 7, False),
+        (1, 1, 40, False),
     ],
 )
 def test_run_matches_contract_v2_oracle(participants, team_size, rounds, shared):
     # Large populations cross several blocks of rounds (and end in a partial
     # one); the oracle draws round by round, so equality shows that no
-    # output depends on the block length.
+    # output depends on the block length. At 160 participants a block is 102
+    # rounds, so 160 rounds end in a partial second block; a single
+    # participant's 40 rounds are added to its total in one block.
     cfg = config(participant_count=participants, team_size=team_size, rounds=rounds,
                  high_perf_override=(participants // 2, 2.5))
     run_seed = 12345 + team_size
