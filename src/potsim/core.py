@@ -174,10 +174,6 @@ class RunResult:
     active_time: np.ndarray
     factors: np.ndarray
 
-    @property
-    def total_active_time(self) -> float:
-        return float(self.active_time.sum())
-
 
 def draw_performance_profile(config: ScenarioConfig, stream: np.random.Generator) -> np.ndarray:
     """Read-only factors, independently uniform on perf_range, then the override."""
@@ -249,6 +245,10 @@ def execute_round(teams: np.ndarray, member_times: np.ndarray) -> np.ndarray:
     is the argmin, which also breaks the measure-zero ties toward the lowest
     index. Round r's winning members are ``teams[r, :, winners[r]]``.
     """
+    if teams.shape[1] == 1:
+        # Single-member teams are ``form_teams``' identity: team t is
+        # participant t, so the winner is the argmin of the times as they are.
+        return member_times.argmin(axis=1)
     rounds, n = member_times.shape
     index, gathered, team_times = _block_scratch(rounds, *teams.shape[1:])
     np.add(teams, np.arange(0, rounds * n, n).reshape(rounds, 1, 1), out=index)
@@ -288,8 +288,10 @@ def run_simulation(
     active_time = np.zeros(n)
     # Size this thread's scratch for the run's largest block before the first
     # block is drawn: allocated inside the first block instead, above its
-    # arrays, it took more page faults and about 0.4 MB more peak RSS.
-    _block_scratch(min(block, config.rounds), config.team_size, config.team_count)
+    # arrays, it took more page faults and about 0.4 MB more peak RSS. Team
+    # size 1 gathers nothing and needs none.
+    if config.team_size > 1:
+        _block_scratch(min(block, config.rounds), config.team_size, config.team_count)
     for first in range(0, config.rounds, block):
         rounds = min(block, config.rounds - first)
         teams = form_teams(n, config.team_size, team_stream, rounds)

@@ -17,6 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
+    _BLOCK_ELEMENTS,
     ConfigurationError,
     RunResult,
     ScenarioConfig,
@@ -24,6 +25,7 @@ from .core import (
     run_simulation,
 )
 from .metrics import (
+    RANKING_BUCKETS,
     DistStats,
     ShapeStats,
     distribution_stats,
@@ -157,26 +159,41 @@ def execute_runs(config: ScenarioConfig, workers: int = 1) -> list[RunResult]:
 _TABLE_ROWS = 11
 
 
-def _run_statistics(run: RunResult) -> list[float]:
-    """One run's column of the statistics table, in ``_TABLE_ROWS`` order.
+def _statistics_table(
+    config: ScenarioConfig, runs: Sequence[RunResult]
+) -> tuple[np.ndarray, dict[str, int] | None]:
+    """The (statistic, run) table in ``_TABLE_ROWS`` order, and the ranking.
 
-    A shape or correlation statistic that is undefined for this run (zero
-    variance, as after zero rounds) is NaN.
+    The table is filled a chunk of runs at a time: each chunk's rewards,
+    factors and active times are stacked into (runs, n) tables of at most
+    the engine's block of elements, and each statistic is one call over the
+    chunk. A shape or correlation statistic that is undefined for a run
+    (zero variance, as after zero rounds) is NaN. The ranking counts the
+    override participant's ranks, and is None without an override.
     """
-    rewards = run.cumulative_reward
-    stats = distribution_stats(rewards)
-    column = [getattr(stats, field.name) for field in fields(stats)]
-    for statistic, args in (
-        (skewness, (rewards,)),
-        (excess_kurtosis, (rewards,)),
-        (pearson_correlation, (run.factors, rewards)),
-    ):
-        try:
-            column.append(statistic(*args))
-        except ValueError:
-            column.append(float("nan"))
-    column.append(run.total_active_time)
-    return column
+    chunk = max(1, _BLOCK_ELEMENTS // config.participant_count)
+    table = np.empty((_TABLE_ROWS, len(runs)))
+    ranking = None
+    if config.high_perf_override is not None:
+        ranking = dict.fromkeys(RANKING_BUCKETS, 0)
+    for first in range(0, len(runs), chunk):
+        part = runs[first : first + chunk]
+        rewards, factors, active_time = (
+            np.array([getattr(run, name) for run in part])
+            for name in ("cumulative_reward", "factors", "active_time")
+        )
+        stats = distribution_stats(rewards)
+        table[:, first : first + len(part)] = [
+            *(getattr(stats, field.name) for field in fields(stats)),
+            skewness(rewards),
+            excess_kurtosis(rewards),
+            pearson_correlation(factors, rewards),
+            active_time.sum(axis=1),
+        ]
+        if ranking is not None:
+            for bucket, count in ranking_histogram(rewards, config.high_perf_override[0]).items():
+                ranking[bucket] += count
+    return table, ranking
 
 
 def summarize_runs(config: ScenarioConfig, runs: Sequence[RunResult]) -> ScenarioSummary:
@@ -186,16 +203,11 @@ def summarize_runs(config: ScenarioConfig, runs: Sequence[RunResult]) -> Scenari
     is the mean of its row. Zero runs is legal and yields an all-NaN summary
     (all-zero ranking).
     """
-    table = np.empty((_TABLE_ROWS, len(runs)))
-    for index, run in enumerate(runs):
-        table[:, index] = _run_statistics(run)
+    table, ranking = _statistics_table(config, runs)
     # sum / count is numpy's mean, without its warning on zero runs. Each row
     # is contiguous, so it adds in the order np.mean adds a list of its values.
     with np.errstate(invalid="ignore"):
         means = (table.sum(axis=1) / len(runs)).tolist()
-    ranking = None
-    if config.high_perf_override is not None:
-        ranking = ranking_histogram(runs, config.high_perf_override[0])
     return ScenarioSummary(
         config_echo=config,
         reward_stats=DistStats(*means[:7]),

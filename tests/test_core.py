@@ -303,7 +303,7 @@ def test_zero_rounds_gives_zero_results():
     result = run_simulation(config(rounds=0), run_seed=1)
     assert np.all(result.cumulative_reward == 0)
     assert np.all(result.win_count == 0)
-    assert result.total_active_time == 0.0
+    assert result.active_time.sum() == 0.0
 
 
 def test_reward_conservation_over_run():
@@ -330,7 +330,7 @@ def test_same_seed_reproduces_bit_identical_result():
     assert np.array_equal(a.win_count, b.win_count)
     assert np.array_equal(a.active_time, b.active_time)
     assert np.array_equal(a.factors, b.factors)
-    assert a.total_active_time == b.total_active_time
+    assert a.active_time.sum() == b.active_time.sum()
 
 
 def test_different_seeds_differ():
@@ -365,7 +365,7 @@ def test_expected_total_time_law():
     cfg = config(participant_count=1000, team_size=1, rounds=100, base_time=600.0)
     per_slot = np.mean(
         [
-            run_simulation(cfg, run_seed=seed).total_active_time
+            run_simulation(cfg, run_seed=seed).active_time.sum()
             / (cfg.rounds * cfg.participant_count)
             for seed in (6, 7, 8)
         ]

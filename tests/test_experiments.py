@@ -187,6 +187,39 @@ def test_correlation_aggregates_per_run_coefficients():
     assert summary.correlation == pytest.approx(sum(per_run) / len(per_run), rel=1e-9)
 
 
+STATISTIC_NAMES = (
+    "distribution_stats",
+    "skewness",
+    "excess_kurtosis",
+    "pearson_correlation",
+    "ranking_histogram",
+)
+
+
+@pytest.mark.parametrize(
+    "participants, runs", [(160, 0), (160, 20), (1600, 10), (1600, 11), (1600, 25)]
+)
+def test_summarize_calls_each_statistic_once_per_chunk(monkeypatch, participants, runs):
+    calls = dict.fromkeys(STATISTIC_NAMES, 0)
+    for name in STATISTIC_NAMES:
+
+        def counted(*args, name=name, original=getattr(experiments, name)):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(experiments, name, counted)
+    cfg = ScenarioConfig(
+        participant_count=participants,
+        team_size=16,
+        rounds=2,
+        runs=runs,
+        high_perf_override=(3, 2.5),
+    )
+    summarize_runs(cfg, execute_runs(cfg))
+    chunk = max(1, experiments._BLOCK_ELEMENTS // participants)
+    assert calls == dict.fromkeys(STATISTIC_NAMES, math.ceil(runs / chunk))
+
+
 # -- sweeps -----------------------------------------------------------------------
 
 

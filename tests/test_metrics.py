@@ -1,16 +1,19 @@
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import astuple
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from potsim import experiments
 from potsim.core import RunResult, ScenarioConfig
-from potsim.experiments import summarize_runs
+from potsim.experiments import execute_runs, summarize_runs
 from potsim.metrics import (
     DistStats,
     competition_ranks,
@@ -28,11 +31,6 @@ moderate_floats = finite_floats.map(lambda x: round(x, 3))
 
 def spread(values) -> float:
     return max(values) - min(values)
-
-
-class FakeRun:
-    def __init__(self, rewards):
-        self.cumulative_reward = np.asarray(rewards, dtype=float)
 
 
 # -- distribution_stats -----------------------------------------------------
@@ -167,22 +165,21 @@ def test_competition_rank_examples():
 
 def test_competition_rank_rejects_bad_id():
     with pytest.raises(ValueError, match="participant id"):
-        ranking_histogram([FakeRun([1, 2, 3])], 3)
+        ranking_histogram([[1, 2, 3]], 3)
     with pytest.raises(ValueError, match="participant id"):
-        ranking_histogram([FakeRun([1, 2, 3])], -1)
+        ranking_histogram([[1, 2, 3]], -1)
 
 
 def test_ranking_histogram_always_first():
-    runs = [FakeRun([20, 5, 5]) for _ in range(100)]
-    hist = ranking_histogram(runs, 0)
+    hist = ranking_histogram([[20, 5, 5]] * 100, 0)
     assert hist["1"] == 100
     assert hist["11_or_lower"] == 0
     assert sum(hist.values()) == 100
 
 
 def test_ranking_histogram_bucketing():
-    run_rank3 = FakeRun([5, 4, 3, 9, 8] + [0] * 10)
-    run_rank15 = FakeRun([1] + list(range(2, 16)))
+    run_rank3 = [5, 4, 3, 9, 8] + [0] * 10
+    run_rank15 = [1] + list(range(2, 16))
     hist = ranking_histogram([run_rank3, run_rank15], 0)
     assert hist["3"] == 1
     assert hist["11_or_lower"] == 1
@@ -190,12 +187,12 @@ def test_ranking_histogram_bucketing():
 
 
 def test_ranking_histogram_single_run():
-    hist = ranking_histogram([FakeRun([1, 2])], 0)
+    hist = ranking_histogram([[1, 2]], 0)
     assert sum(hist.values()) == 1
 
 
 def test_ranking_histogram_empty_is_all_zero():
-    hist = ranking_histogram([], 0)
+    hist = ranking_histogram(np.empty((0, 3)), 0)
     assert list(hist.items()) == [(str(rank), 0) for rank in range(1, 11)] + [("11_or_lower", 0)]
 
 
@@ -222,7 +219,7 @@ def per_run_values(run) -> list[float]:
         skewness(rewards),
         excess_kurtosis(rewards),
         pearson_correlation(run.factors, rewards),
-        run.total_active_time,
+        run.active_time.sum(),
     ]
 
 
@@ -264,6 +261,116 @@ def test_aggregate_reals_and_shapes():
     columns = zip(*(per_run_values(run) for run in runs))
     expected = [float(np.mean(column)) for column in columns]
     assert summary_values(summarize_runs(SUMMARY_CONFIG, runs)) == expected
+
+
+def frozen_column(run) -> list[float]:
+    """One run's statistics as the per-run path computed them, NaN where undefined.
+
+    numpy reduces each 1-D vector and the ratios are Python floats (C
+    ``pow``), the arithmetic the golden digests were pinned with.
+    """
+    rewards, factors = run.cumulative_reward, run.factors
+    mean = rewards.mean()
+    column = [
+        float(mean),
+        float(rewards.std()),
+        *np.percentile(rewards, [0, 25, 50, 75, 100]).tolist(),
+    ]
+    deltas = rewards - mean
+    m2, m3, m4 = (float(moment.mean()) for moment in (deltas * deltas, deltas**3, deltas**4))
+    column += [m3 / m2**1.5, m4 / m2**2 - 3.0] if m2 else [math.nan] * 2
+    dx = factors - factors.mean()
+    sx, sy = float((dx * dx).mean()) ** 0.5, m2**0.5
+    column.append(float((dx * deltas).mean()) / (sx * sy) if sx and sy else math.nan)
+    column.append(float(run.active_time.sum()))
+    return column
+
+
+def vector_column(run) -> list[float]:
+    """One run's statistics from 1-D calls, NaN where a call raises ValueError."""
+    rewards = run.cumulative_reward
+    column = list(astuple(distribution_stats(rewards)))
+    for statistic, args in (
+        (skewness, (rewards,)),
+        (excess_kurtosis, (rewards,)),
+        (pearson_correlation, (run.factors, rewards)),
+    ):
+        try:
+            column.append(statistic(*args))
+        except ValueError:
+            column.append(math.nan)
+    column.append(float(run.active_time.sum()))
+    return column
+
+
+def hex_column(values) -> list[str]:
+    return [float(value).hex() for value in values]
+
+
+@st.composite
+def table_scenarios(draw):
+    participants = draw(st.one_of(st.integers(1, 64), st.sampled_from([160, 1600])))
+    divisors = [size for size in range(1, participants + 1) if participants % size == 0]
+    lo = draw(st.sampled_from([0.8, 1.0]))
+    override = draw(st.none() | st.tuples(st.integers(0, participants - 1), st.just(2.5)))
+    config = ScenarioConfig(
+        participant_count=participants,
+        team_size=draw(st.sampled_from(divisors)),
+        rounds=draw(st.integers(0, 12)),
+        runs=draw(st.integers(0, 40)),
+        perf_range=(lo, draw(st.sampled_from([lo, 1.5]))),
+        high_perf_override=override,
+        redraw_profile_per_run=draw(st.booleans()),
+        master_seed=draw(st.integers(0, 2**64 - 1)),
+    )
+    # The engine's element budget sets the chunk of runs; small budgets put
+    # chunk boundaries inside every population's runs.
+    elements = draw(st.sampled_from([experiments._BLOCK_ELEMENTS, 1, 50, 200]))
+    return config, elements
+
+
+def pinned_scenario(elements=experiments._BLOCK_ELEMENTS, **fields):
+    return ScenarioConfig(**{"team_size": 1, "master_seed": 5, **fields}), elements
+
+
+@settings(max_examples=60, deadline=None)
+@given(table_scenarios())
+@example(pinned_scenario(participant_count=1600, team_size=16, rounds=3, runs=35))
+@example(pinned_scenario(participant_count=1600, rounds=0, runs=12, high_perf_override=(9, 2.5)))
+@example(
+    pinned_scenario(
+        participant_count=160,
+        team_size=8,
+        rounds=6,
+        runs=40,
+        perf_range=(1.2, 1.2),
+        redraw_profile_per_run=False,
+        elements=500,
+    )
+)
+@example(pinned_scenario(participant_count=1, rounds=4, runs=3))
+def test_chunked_table_matches_per_run_statistics(scenario):
+    # Every cell of the chunked (statistic, run) table is bit for bit the
+    # per-run value: zero rounds (all-NaN shape), a fixed profile (NaN
+    # correlation), shared profiles and runs across chunk boundaries.
+    config, elements = scenario
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        runs = execute_runs(config)
+        with mock.patch.object(experiments, "_BLOCK_ELEMENTS", elements):
+            table, ranking = experiments._statistics_table(config, runs)
+        assert table.shape == (11, config.runs)
+        for run, column in zip(runs, table.T):
+            assert hex_column(column) == hex_column(frozen_column(run))
+            assert hex_column(column) == hex_column(vector_column(run))
+    if config.high_perf_override is None:
+        assert ranking is None
+    else:
+        pid = config.high_perf_override[0]
+        ranks = [int(competition_ranks(run.cumulative_reward)[pid]) for run in runs]
+        assert list(ranking.values()) == [ranks.count(rank) for rank in range(1, 11)] + [
+            sum(rank >= 11 for rank in ranks)
+        ]
 
 
 # -- brute-force oracle equivalence ------------------------------------------------
