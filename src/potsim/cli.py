@@ -3,7 +3,9 @@
 Configuration precedence, lowest to highest: built-in defaults, config file
 (flat JSON object with ScenarioConfig field names), presets
 (--paper-defaults, --ci-scale), then individual flags. Exit codes: 0 on
-success, 1 on usage/configuration errors, 2 on runtime failures.
+success, 1 on a bad flag, config or table request (one ConfigurationError
+line), 2 on a runtime failure (an unreadable or malformed bundle, a failed
+write, out of memory).
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from .reporting import (
     summary_label,
     tool_version,
     write_bundle,
+    write_files,
     write_runs_csv,
 )
 
@@ -63,13 +66,9 @@ CI_SCALE = {"participant_count": 160, "rounds": 160, "runs": 20}
 PAPER_TEAM_SIZES = (1, 2, 4, 8, 16, 32, 64)
 
 
-class UsageError(Exception):
-    """Invalid flags or configuration; maps to exit status 1."""
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # noqa: D102 - argparse hook
-        raise UsageError(message)
+        raise ConfigurationError(message)
 
 
 @dataclass(frozen=True)
@@ -89,18 +88,18 @@ class CliInvocation:
 def _parse_pair(text: str, flag: str) -> tuple[float, float]:
     parts = text.split(",")
     if len(parts) != 2:
-        raise UsageError(f"{flag} expects LO,HI, got {text!r}")
+        raise ConfigurationError(f"{flag} expects LO,HI, got {text!r}")
     try:
         return float(parts[0]), float(parts[1])
     except ValueError as exc:
-        raise UsageError(f"{flag} expects two numbers, got {text!r}") from exc
+        raise ConfigurationError(f"{flag} expects two numbers, got {text!r}") from exc
 
 
 def _parse_int_list(text: str, flag: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(",") if part != "")
     except ValueError as exc:
-        raise UsageError(f"{flag} expects a comma-separated integer list: {exc}") from exc
+        raise ConfigurationError(f"{flag} expects a comma-separated integer list: {exc}") from exc
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -149,15 +148,15 @@ def _load_config_file(path: str) -> dict:
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
-        raise UsageError(f"cannot read config file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"config file {path} is not valid JSON: {exc}") from exc
+        raise ConfigurationError(f"cannot read config file {path}: {exc}") from exc
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise ConfigurationError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
-        raise UsageError(f"config file {path} must hold a JSON object")
+        raise ConfigurationError(f"config file {path} must hold a JSON object")
     allowed = set(PAPER_DEFAULTS)
     unknown = set(data) - allowed
     if unknown:
-        raise UsageError(f"config file {path} has unknown keys: {sorted(unknown)}")
+        raise ConfigurationError(f"config file {path} has unknown keys: {sorted(unknown)}")
     return data
 
 
@@ -195,15 +194,12 @@ def _effective_config(args: argparse.Namespace) -> ScenarioConfig:
     if args.shared_profile:
         fields["redraw_profile_per_run"] = False
 
-    try:
-        return ScenarioConfig(**fields)
-    except ConfigurationError as exc:
-        raise UsageError(str(exc)) from exc
+    return ScenarioConfig(**fields)
 
 
 def _out_dir(flag: str | None) -> Path:
-    """The --out/--from directory, else $POTSIM_OUT, else potsim_out."""
-    return Path(flag or os.environ.get(OUT_DIR_ENV, DEFAULT_OUT_DIR))
+    """The --out/--from directory, else $POTSIM_OUT, else potsim_out; empty counts as unset."""
+    return Path(flag or os.environ.get(OUT_DIR_ENV) or DEFAULT_OUT_DIR)
 
 
 def build_parser() -> _Parser:
@@ -258,7 +254,7 @@ def parse_and_validate(arguments: list[str]) -> CliInvocation:
 
     config = _effective_config(args)
     if args.threads < 1:
-        raise UsageError(f"--threads must be at least 1, got {args.threads}")
+        raise ConfigurationError(f"--threads must be at least 1, got {args.threads}")
     out_dir = _out_dir(args.out)
 
     if args.subcommand == "run":
@@ -276,7 +272,7 @@ def parse_and_validate(arguments: list[str]) -> CliInvocation:
         try:
             conditions = tuple(Condition(name) for name in names)
         except ValueError as exc:
-            raise UsageError(
+            raise ConfigurationError(
                 f"--conditions entries must be one of "
                 f"{[c.value for c in Condition]}: {exc}"
             ) from exc
@@ -284,10 +280,7 @@ def parse_and_validate(arguments: list[str]) -> CliInvocation:
         conditions = (Condition.HOMOGENEOUS, Condition.HIGH_PERF)
     else:
         conditions = (Condition.HOMOGENEOUS,)
-    try:
-        sweep = SweepSpec(base_config=config, team_sizes=team_sizes, conditions=conditions)
-    except ConfigurationError as exc:
-        raise UsageError(str(exc)) from exc
+    sweep = SweepSpec(base_config=config, team_sizes=team_sizes, conditions=conditions)
     return CliInvocation(
         subcommand="sweep", config=config, sweep=sweep, threads=args.threads, out_dir=out_dir
     )
@@ -332,24 +325,20 @@ def _cmd_sweep(invocation: CliInvocation) -> int:
 
 
 def _cmd_report(invocation: CliInvocation) -> int:
-    bundle = load_bundle(invocation.from_dir)
+    summaries = load_bundle(invocation.from_dir)
     requested = list(invocation.tables)
-    if invocation.tables == TABLE_IDS and not any(
-        s.ranking is not None for s in bundle.summaries
-    ):
+    if invocation.tables == TABLE_IDS and not any(s.ranking is not None for s in summaries):
         requested.remove("ranking")
-    try:
-        documents = [emit_table(bundle.summaries, table) for table in requested]
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    documents = [emit_table(summaries, table) for table in requested]
+    text = render_delta_report(documents)
     tables_dir = invocation.out_dir / "tables"
     tables_dir.mkdir(parents=True, exist_ok=True)
-    for doc in documents:
-        with atomic_writer(tables_dir / f"{doc['table']}.json") as sink:
-            sink.write(json_bytes(doc))
-    text = render_delta_report(documents)
-    with atomic_writer(invocation.out_dir / "delta_report.txt") as sink:
-        sink.write(text.encode("utf-8"))
+    # The report is listed last, so it is moved into place first: if it
+    # cannot be replaced, neither is any table.
+    write_files(
+        [(tables_dir / f"{doc['table']}.json", json_bytes(doc)) for doc in documents]
+        + [(invocation.out_dir / "delta_report.txt", text.encode("utf-8"))]
+    )
     print(text)
     return 0
 
@@ -366,16 +355,11 @@ def main(invocation: CliInvocation) -> int:
 def entrypoint(argv: list[str] | None = None) -> int:
     arguments = list(sys.argv[1:] if argv is None else argv)
     try:
-        invocation = parse_and_validate(arguments)
-    except UsageError as exc:
+        return main(parse_and_validate(arguments))
+    except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    try:
-        return main(invocation)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError, ConfigurationError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from typing import Sequence
 
@@ -71,23 +71,31 @@ _CONDITION_ORDINAL = {Condition.HOMOGENEOUS: 0, Condition.HIGH_PERF: 1}
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """A team-size sweep over one base configuration and a set of conditions."""
+    """A team-size sweep over one base configuration and a set of conditions.
+
+    ``configs`` holds one ``scenario_config`` per (condition, team size)
+    pair, condition-major, each checked by ``ScenarioConfig`` as it is built.
+    """
 
     base_config: ScenarioConfig
     team_sizes: tuple[int, ...]
     conditions: tuple[Condition, ...] = (Condition.HOMOGENEOUS,)
+    configs: tuple[ScenarioConfig, ...] = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.team_sizes:
             raise ConfigurationError("sweep needs at least one team size")
         if len(set(self.team_sizes)) != len(self.team_sizes):
             raise ConfigurationError(f"sweep team sizes repeat: {list(self.team_sizes)}")
-        for n in self.team_sizes:
-            if n < 1 or self.base_config.participant_count % n != 0:
-                raise ConfigurationError(
-                    f"participant count {self.base_config.participant_count} "
-                    f"is not divisible by team size {n}"
-                )
+        # Seed derivation rejects a negative team size with a plain ValueError.
+        if min(self.team_sizes) < 1:
+            raise ConfigurationError(f"sweep team sizes must be positive: {list(self.team_sizes)}")
+        configs = [
+            scenario_config(self.base_config, n, condition)
+            for condition in self.conditions
+            for n in self.team_sizes
+        ]
+        object.__setattr__(self, "configs", tuple(configs))
         if not self.conditions:
             raise ConfigurationError("sweep needs at least one condition")
         if Condition.HIGH_PERF in self.conditions and (
@@ -243,9 +251,4 @@ def scenario_config(
 
 def sweep_team_sizes(spec: SweepSpec, workers: int = 1) -> list[ScenarioSummary]:
     """One ScenarioSummary per (condition, team size) pair, in the given order."""
-    configs = [
-        scenario_config(spec.base_config, team_size, condition)
-        for condition in spec.conditions
-        for team_size in spec.team_sizes
-    ]
-    return [execute_scenario(config, workers=workers) for config in configs]
+    return [execute_scenario(config, workers=workers) for config in spec.configs]

@@ -13,12 +13,11 @@ import json
 import os
 import time
 from contextlib import ExitStack, contextmanager
-from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
 from typing import IO, Iterator, Sequence
 
-from .core import RunResult, ScenarioConfig
+from .core import ConfigurationError, RunResult, ScenarioConfig
 from .experiments import Condition, ScenarioSummary
 from .metrics import RANKING_BUCKETS, DistStats, ShapeStats, competition_ranks
 
@@ -145,11 +144,11 @@ def _select_summaries(summaries: Sequence[ScenarioSummary], which: str) -> list[
         chosen = homogeneous or list(summaries)
     if not chosen:
         kind = "high_perf scenario" if which == "ranking" else "scenario"
-        raise ValueError(f"{which} table requires at least one {kind} summary")
+        raise ConfigurationError(f"{which} table requires at least one {kind} summary")
     chosen = sorted(chosen, key=lambda s: s.config_echo.team_size)
     labels = [summary_label(s) for s in chosen]
     if len(set(labels)) != len(labels):
-        raise ValueError(f"duplicate scenario labels in {which} table inputs: {labels}")
+        raise ConfigurationError(f"duplicate scenario labels in {which} table inputs: {labels}")
     return chosen
 
 
@@ -169,7 +168,7 @@ def emit_table(summaries: Sequence[ScenarioSummary], which: str) -> dict:
     tolerances carry a ``flagged`` entry marking out-of-tolerance results.
     """
     if which not in TABLE_IDS:
-        raise ValueError(f"unknown table id {which!r}, expected one of {TABLE_IDS}")
+        raise ConfigurationError(f"unknown table id {which!r}, expected one of {TABLE_IDS}")
     chosen = _select_summaries(summaries, which)
 
     if which == "ranking":
@@ -245,18 +244,6 @@ def render_delta_report(tables: Sequence[dict]) -> str:
 
 
 # -- summary/bundle serialization -------------------------------------------
-
-
-@dataclass(frozen=True)
-class ReportBundle:
-    """A results directory as read back by ``load_bundle``."""
-
-    kind: str
-    summaries: list[ScenarioSummary]
-    config_echo: ScenarioConfig
-    created_utc: str
-    version: str
-    runs_csv: str | None = None
 
 
 def summary_to_dict(summary: ScenarioSummary) -> dict:
@@ -347,6 +334,20 @@ def json_bytes(payload: dict) -> bytes:
     return (json.dumps(payload, indent=2) + "\n").encode("utf-8")
 
 
+def write_files(files: Sequence[tuple[Path, bytes]]) -> None:
+    """Replace each path with its bytes through ``atomic_writer``.
+
+    Every temp file is written and flushed before any is moved, and they are
+    moved in reverse order, so the first file listed replaces its old version
+    last. A failed or interrupted write removes the temp files not yet moved.
+    """
+    with ExitStack() as stack:
+        for path, data in files:
+            sink = stack.enter_context(atomic_writer(path))
+            sink.write(data)
+            sink.flush()
+
+
 def write_bundle(
     out_dir: Path,
     kind: str,
@@ -356,9 +357,8 @@ def write_bundle(
 ) -> None:
     """Write per-scenario summary JSONs plus a manifest into out_dir.
 
-    Every file is written to a temp file before any replaces its old version,
-    and the manifest replaces its old version last. A failed or interrupted
-    write removes the temp files not yet moved into place.
+    All go through one ``write_files``, and the manifest replaces its old
+    version last.
     """
     out_dir = Path(out_dir)
     summaries_dir = out_dir / "summaries"
@@ -378,14 +378,7 @@ def write_bundle(
         "summaries": names,
         "runs_csv": runs_csv,
     }
-    # Every temp file is written and flushed before any is moved. The stack
-    # leaves its writers in reverse order, so the manifest, entered first, is
-    # moved into place last.
-    with ExitStack() as stack:
-        for path, data in [(out_dir / "manifest.json", json_bytes(manifest)), *files.items()]:
-            sink = stack.enter_context(atomic_writer(path))
-            sink.write(data)
-            sink.flush()
+    write_files([(out_dir / "manifest.json", json_bytes(manifest)), *files.items()])
 
 
 def _read_json_object(path: Path, parse):
@@ -401,24 +394,19 @@ def _read_json_object(path: Path, parse):
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _manifest_fields(data: dict) -> dict:
+def _summary_names(data: dict) -> list[str]:
     names = data["summaries"]
     if not isinstance(names, list) or not all(isinstance(name, str) for name in names):
         raise TypeError(f"key 'summaries' must be a list of file names, got {names!r}")
     if not names:
         raise ValueError("key 'summaries' lists no summary files")
-    return {
-        "kind": data["kind"],
-        "summaries": names,
-        "config_echo": _config(data, "base_config"),
-        "created_utc": data["created_utc"],
-        "version": data["version"],
-        "runs_csv": data.get("runs_csv"),
-    }
+    # Read only to check them: a manifest without these fields is malformed.
+    _ = data["kind"], _config(data, "base_config"), data["created_utc"], data["version"]
+    return names
 
 
-def load_bundle(out_dir: Path) -> ReportBundle:
-    """Load a manifest and its summaries back from out_dir.
+def load_bundle(out_dir: Path) -> list[ScenarioSummary]:
+    """The summaries that out_dir's manifest lists, read back in its order.
 
     A missing manifest is a FileNotFoundError; a malformed manifest or
     summary is a ValueError naming the file and the missing or bad key.
@@ -427,9 +415,5 @@ def load_bundle(out_dir: Path) -> ReportBundle:
     manifest_path = out_dir / "manifest.json"
     if not manifest_path.exists():
         raise FileNotFoundError(f"no manifest.json under {out_dir}")
-    fields = _read_json_object(manifest_path, _manifest_fields)
-    fields["summaries"] = [
-        _read_json_object(out_dir / "summaries" / name, summary_from_dict)
-        for name in fields["summaries"]
-    ]
-    return ReportBundle(**fields)
+    names = _read_json_object(manifest_path, _summary_names)
+    return [_read_json_object(out_dir / "summaries" / name, summary_from_dict) for name in names]

@@ -14,11 +14,11 @@ from hypothesis import strategies as st
 from potsim.cli import (
     PAPER_DEFAULTS,
     CliInvocation,
-    UsageError,
     entrypoint,
     main,
     parse_and_validate,
 )
+from potsim.core import ConfigurationError
 
 
 def read_tree(root: Path) -> dict[str, bytes]:
@@ -47,7 +47,7 @@ def test_paper_defaults_with_team_size_override():
 
 
 def test_indivisible_population_is_usage_error():
-    with pytest.raises(UsageError, match="not divisible"):
+    with pytest.raises(ConfigurationError, match="not divisible"):
         parse_and_validate(["run", "--participants", "10", "--team-size", "3"])
 
 
@@ -68,14 +68,14 @@ def test_sweep_conditions_flag():
 
 
 def test_high_perf_condition_without_override_is_usage_error():
-    with pytest.raises(UsageError, match="override"):
+    with pytest.raises(ConfigurationError, match="override"):
         parse_and_validate(
             ["sweep", "--ci-scale", "--homogeneous", "--conditions", "high_perf", "--team-sizes", "1"]
         )
 
 
 def test_unknown_flag_is_usage_error():
-    with pytest.raises(UsageError):
+    with pytest.raises(ConfigurationError):
         parse_and_validate(["run", "--bogus"])
 
 
@@ -103,13 +103,21 @@ def test_config_file_and_flag_precedence(tmp_path):
 def test_config_file_unknown_key(tmp_path):
     config_file = tmp_path / "config.json"
     config_file.write_text(json.dumps({"participants": 40}))
-    with pytest.raises(UsageError, match="unknown keys"):
+    with pytest.raises(ConfigurationError, match="unknown keys"):
         parse_and_validate(["run", "--config", str(config_file)])
 
 
 def test_unreadable_config_is_usage_error(tmp_path):
-    with pytest.raises(UsageError, match="cannot read"):
+    with pytest.raises(ConfigurationError, match="cannot read"):
         parse_and_validate(["run", "--config", str(tmp_path / "missing.json")])
+
+
+def test_non_utf8_config_exits_1_with_one_line(tmp_path, capsys):
+    config_file = tmp_path / "config.json"
+    config_file.write_bytes(b"\xff\xfe{}")
+    assert entrypoint(["run", "--config", str(config_file), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "is not valid JSON" in err
 
 
 def test_ci_scale_preset():
@@ -133,7 +141,7 @@ def test_high_perf_flags_fill_defaults():
 
 
 def test_default_override_id_must_fit_population():
-    with pytest.raises(UsageError, match="high_perf_override"):
+    with pytest.raises(ConfigurationError, match="high_perf_override"):
         parse_and_validate(["run", "--ci-scale", "--high-perf-factor", "3.0"])
 
 
@@ -141,6 +149,17 @@ def test_out_dir_env_default(monkeypatch, tmp_path):
     monkeypatch.setenv("POTSIM_OUT", str(tmp_path / "from_env"))
     invocation = parse_and_validate(["run", "--ci-scale"])
     assert invocation.out_dir == tmp_path / "from_env"
+
+
+def test_empty_out_dir_env_counts_as_unset(monkeypatch, tmp_path, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("POTSIM_OUT", "")
+    argv = ["run", "--participants", "4", "--team-size", "2", "--rounds", "3", "--runs", "1"]
+    assert entrypoint(argv) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "wrote potsim_out"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["potsim_out"]
+    assert (tmp_path / "potsim_out" / "manifest.json").is_file()
+    assert parse_and_validate(["report"]).from_dir == Path("potsim_out")
 
 
 # -- main / entrypoint ---------------------------------------------------------
@@ -256,14 +275,12 @@ def test_out_of_memory_exits_2_with_one_line(tmp_path, capsys, monkeypatch, deta
     assert err.splitlines() == [f"error: out of memory{': ' + detail if detail else ''}"]
 
 
-def _drop_correlation(summary):
-    del summary["correlation"]
-    return summary
+def _drop(key):
+    def edit(data):
+        del data[key]
+        return data
 
-
-def _drop_summaries(manifest):
-    del manifest["summaries"]
-    return manifest
+    return edit
 
 
 def _null_mean(summary):
@@ -306,8 +323,8 @@ def _override(value):
 
 
 BAD_BUNDLES = [
-    ("summary", _drop_correlation, "missing key 'correlation'"),
-    ("manifest", _drop_summaries, "missing key 'summaries'"),
+    ("summary", _drop("correlation"), "missing key 'correlation'"),
+    ("manifest", _drop("summaries"), "missing key 'summaries'"),
     ("manifest", _number_name, "key 'summaries' must be a list of file names"),
     ("summary", lambda summary: [summary], "expected a JSON object, got list"),
     ("summary", _null_mean, "key 'mean' must be a number, got None"),
@@ -320,6 +337,7 @@ BAD_BUNDLES = [
     ("summary", _drop_config_field("config", "perf_range"), "missing key 'config.perf_range'"),
     ("manifest", _drop_config_field("base_config", "master_seed"),
      "missing key 'base_config.master_seed'"),
+    ("manifest", _drop("kind"), "missing key 'kind'"),
 ]
 
 
@@ -329,7 +347,7 @@ BAD_BUNDLES = [
     ids=["missing_summary_key", "missing_manifest_summaries", "non_string_name", "non_object_json",
          "non_number_value", "fractional_rank_count", "string_rank_count", "bool_rank_count",
          "fractional_override_id", "string_override_id", "empty_summaries",
-         "missing_config_field", "missing_base_config_field"],
+         "missing_config_field", "missing_base_config_field", "missing_manifest_kind"],
 )
 def test_malformed_bundle_exits_2_with_one_line(tmp_path, capsys, target, edit, message):
     if target == "ranking":
@@ -372,6 +390,19 @@ def test_failed_report_write_exits_2_and_leaves_no_temp_file(tmp_path, capsys):
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert not list(tmp_path.rglob(".*.tmp"))
     assert (tmp_path / "delta_report.txt").is_dir()
+
+
+def test_blocked_delta_report_replaces_no_table(tmp_path, capsys):
+    assert entrypoint(run_args(tmp_path)) == 0
+    assert entrypoint(["report", "--from", str(tmp_path)]) == 0
+    tables = read_tree(tmp_path / "tables")
+    assert entrypoint(run_args(tmp_path, "--seed", "6")) == 0
+    _block(tmp_path, "delta_report.txt")
+    capsys.readouterr()
+    assert entrypoint(["report", "--from", str(tmp_path)]) == 2
+    assert len(capsys.readouterr().err.splitlines()) == 1
+    assert read_tree(tmp_path / "tables") == tables
+    assert not list(tmp_path.rglob(".*.tmp"))
 
 
 @pytest.mark.parametrize("command", ["run", "sweep"])
@@ -436,6 +467,8 @@ BAD_FLAGS = [
 ]
 BAD_SWEEP_FLAGS = [
     ["--team-sizes", "2,2"],
+    ["--team-sizes=-4"],
+    ["--team-sizes=0"],
 ]
 
 
