@@ -11,17 +11,28 @@ contribute sequentially), and the fastest team wins the round's fixed
 reward, split equally among its members. Team size 1 reduces to classic
 individual proof-of-work racing.
 
-Stream contract (v2). A run seed feeds three streams: ``default_rng(seed)``
+Stream contract (v3). A run seed feeds three streams: ``default_rng(seed)``
 draws the performance profile, and the two children of
 ``SeedSequence(seed).spawn(2)`` draw the multipliers and the team orders.
 Rounds are drawn in blocks: one ``uniform`` call of shape (rounds, n) and
-one ``form_teams`` call per block, where each round's order is a uniformly
-random permutation of the ids, consumed exactly as one ``permutation(n)``
-call. Team size 1 draws no order, since order cannot move an argmin over
-single members. The block length is a fixed rule of the participant count,
-and no output depends on it: the streams are read in the same sequence
-whatever the block, member times are added to the totals one round after
-another in round order, and wins are integer counts.
+one ``form_teams`` call per block.
+
+Each round's order is a sort of packed keys. The round reads n raw 64-bit
+words from the team stream, and with b = ``(n - 1).bit_length()`` the low b
+bits of word i are replaced by id i. Sorting the keys orders the ids by
+their words' high 64 - b bits, and the low b bits of the sorted keys are
+the order: exactly uniform whenever those high parts are distinct. A round
+where two of them tie takes ``default_rng(words[:4]).permutation(n)`` of its
+own raw words instead, which keeps the order uniform and reads nothing more
+from the stream. Expected ties per round are about n**2 / 2**(65 - b):
+1e-10 at n = 1600, but 2**-2 at n = 2**21, where a tied round is still
+correct but pays for a sort and a permutation. Team size 1 draws no order,
+since order cannot move an argmin over single members.
+
+The block length is a fixed rule of the participant count, and no output
+depends on it: the streams are read in the same sequence whatever the
+block, member times are added to the totals one round after another in
+round order, and wins are integer counts.
 
 There is one engine path: ``run_simulation`` calls ``form_teams`` and
 ``execute_round`` once per block, and ``execute_round`` returns the winners
@@ -198,22 +209,35 @@ def form_teams(
 
     Returns a read-only (rounds, team_size, team_count) id array: in round
     r, column t of ``teams[r]`` lists team t's members. Each round's order is
-    a uniformly random permutation of all ids, cut into team_size rows of
-    team_count ids, so every round is an exact partition by construction.
-    Team size 1 draws nothing and returns the identity.
+    a uniformly random permutation of all ids, drawn as the module docstring
+    sets out and cut into team_size rows of team_count ids, so every round is
+    an exact partition by construction. Team size 1 draws nothing and returns
+    the identity.
     """
     if team_size < 1 or participant_count % team_size != 0:
         raise ConfigurationError(
             f"participant count {participant_count} is not divisible "
             f"by team size {team_size}"
         )
-    ids = np.arange(participant_count)
+    n = participant_count
     if team_size == 1:
-        return np.broadcast_to(ids, (rounds, 1, participant_count))
-    teams = np.tile(ids, (rounds, 1))
-    stream.permuted(teams, axis=1, out=teams)
+        return np.broadcast_to(np.arange(n), (rounds, 1, n))
+    low = np.uint64((1 << (n - 1).bit_length()) - 1)
+    keys = stream.bit_generator.random_raw((rounds, n))
+    fallback_seeds = keys[:, :4].copy()
+    keys &= ~low
+    keys |= np.arange(n, dtype=np.uint64)
+    keys.sort(axis=1)
+    # Neighbours in a sorted row share their high bits exactly when their
+    # XOR fits in the low bits.
+    gaps = keys[:, 1:] ^ keys[:, :-1]
+    tied = np.flatnonzero((gaps <= low).any(axis=1)) if rounds and gaps.min() <= low else ()
+    keys &= low
+    teams = keys.view(np.int64)
+    for r in tied:
+        teams[r] = np.random.default_rng(fallback_seeds[r]).permutation(n)
     teams.flags.writeable = False
-    return teams.reshape(rounds, team_size, participant_count // team_size)
+    return teams.reshape(rounds, team_size, n // team_size)
 
 
 # execute_round's scratch, kept per thread and replaced only when a block

@@ -112,13 +112,29 @@ SPLITMIX64_SEED1234567 = (
 )
 
 
-def contract_v2_run(participant_count, team_size, rounds, run_seed, work_time,
+def contract_v3_order(n, team_stream):
+    """One round's team order under stream contract v3, from Python ints.
+
+    The round reads n raw words. Word i keeps its high 64 - b bits, with
+    b = (n - 1).bit_length(), and takes id i as its low b bits; sorting the
+    keys sorts the ids by their high bits. If two high parts are equal, the
+    round's order is instead default_rng(first four raw words).permutation(n).
+    """
+    words = team_stream.bit_generator.random_raw(n).tolist()
+    b = (n - 1).bit_length()
+    highs = [word >> b for word in words]
+    if len(set(highs)) < n:
+        return np.random.default_rng(words[:4]).permutation(n).tolist()
+    return [pid for _, pid in sorted(zip(highs, range(n)))]
+
+
+def contract_v3_run(participant_count, team_size, rounds, run_seed, work_time,
                     multiplier_range, factors):
-    """One run of stream contract v2, round by round: (win counts, active times).
+    """One run of stream contract v3, round by round: (win counts, active times).
 
     The two children of SeedSequence(run_seed).spawn(2) draw the multipliers
     and the team orders: one uniform(lo, hi, n) and, unless team_size is 1,
-    one permutation(n) per round. The order is cut into team_size rows of
+    one contract_v3_order per round. The order is cut into team_size rows of
     team_count ids and team t is column t. Member times are (work_time * m) / f
     in Python floats, team times are summed slot by slot, and the first
     lowest team wins.
@@ -133,7 +149,7 @@ def contract_v2_run(participant_count, team_size, rounds, run_seed, work_time,
     wins = [0] * n
     active = [0.0] * n
     for _ in range(rounds):
-        order = list(range(n)) if team_size == 1 else team_stream.permutation(n).tolist()
+        order = list(range(n)) if team_size == 1 else contract_v3_order(n, team_stream)
         multipliers = multiplier_stream.uniform(lo, hi, n).tolist()
         times = [(work_time * m) / f for m, f in zip(multipliers, factors)]
         teams = [[order[slot * team_count + t] for slot in range(team_size)]

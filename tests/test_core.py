@@ -138,6 +138,51 @@ def test_form_teams_partition_property(teams, size, rounds, seed):
         assert sorted(round_teams.ravel().tolist()) == list(range(n))
 
 
+class RawWords:
+    """A team stream stand-in whose bit generator hands out preset raw words in order."""
+
+    def __init__(self, words):
+        self.words = np.asarray(words, dtype=np.uint64).ravel()
+        self.used = 0
+        self.bit_generator = self
+
+    def random_raw(self, size):
+        count = math.prod(size)
+        out = self.words[self.used:self.used + count].reshape(size).copy()
+        self.used += count
+        return out
+
+
+def test_form_teams_tied_round_takes_seeded_permutation():
+    # 8 ids keep the high 61 bits of their words; in round 1, ids 2 and 5
+    # share theirs, which a sort of the packed keys cannot order fairly.
+    words = np.random.default_rng(3).bit_generator.random_raw((3, 8))
+    low = np.uint64(7)
+    words[1, 5] = (words[1, 2] & ~low) | (words[1, 5] & low)
+    highs = words >> np.uint64(3)
+    assert highs[1, 5] == highs[1, 2] and len(set(highs[0])) == len(set(highs[2])) == 8
+    teams = form_teams(8, 2, RawWords(words), 3)
+    fallback = np.random.default_rng(words[1, :4]).permutation(8)
+    assert teams[1].tolist() == fallback.reshape(2, 4).tolist()
+    for r in (0, 2):
+        assert teams[r].ravel().tolist() == np.argsort(highs[r]).tolist()
+    one_by_one = RawWords(words)
+    rounds = [form_teams(8, 2, one_by_one, 1)[0] for _ in range(3)]
+    assert np.array_equal(np.stack(rounds), teams)
+
+
+def test_form_teams_orders_are_uniform():
+    # Chi-square of the 24 orders of 4 ids over 120k rounds, below the 0.001
+    # critical value for 23 degrees of freedom; the seed fixes the outcome.
+    rounds = 120_000
+    orders = form_teams(4, 2, np.random.default_rng(2024), rounds).reshape(rounds, 4)
+    codes = orders @ np.array([64, 16, 4, 1])
+    counts = np.unique(codes, return_counts=True)[1]
+    assert len(counts) == 24
+    expected = rounds / 24
+    assert ((counts - expected) ** 2 / expected).sum() < 49.7
+
+
 # -- time formulas ---------------------------------------------------------------
 
 
@@ -388,7 +433,7 @@ def test_expected_total_time_law():
         (1, 1, 40, False),
     ],
 )
-def test_run_matches_contract_v2_oracle(participants, team_size, rounds, shared):
+def test_run_matches_contract_v3_oracle(participants, team_size, rounds, shared):
     # Large populations cross several blocks of rounds (and end in a partial
     # one); the oracle draws round by round, so equality shows that no
     # output depends on the block length. At 160 participants a block is 102
@@ -405,7 +450,7 @@ def test_run_matches_contract_v2_oracle(participants, team_size, rounds, shared)
     expected_factors[participants // 2] = 2.5
     factors = shared_factors if shared else expected_factors
     assert np.array_equal(result.factors, factors)
-    wins, active = oracles.contract_v2_run(
+    wins, active = oracles.contract_v3_run(
         participants, team_size, rounds, run_seed, cfg.work_time, cfg.multiplier_range,
         factors,
     )

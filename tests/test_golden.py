@@ -36,11 +36,11 @@ def tree_digest(root: Path) -> str:
         (
             ["sweep", "--ci-scale", "--high-perf-id", "100",
              "--team-sizes", "1,2,4,5,8,10,16,20,32,40,80"],
-            "8c46234e613a0a6df897a4bccb1a8ed33c0f40daff53a16b8b42a2a9e91ee426",
+            "ceea35179a4cc10afd201af00074243308bc17f7ca980fc1117d5fa6e53ebc9e",
         ),
         (
             ["run", "--paper-defaults", "--team-size", "8", "--rounds", "16", "--runs", "4", "--raw"],
-            "85103404741f2ee20057dc508f9d7f3259ebdfcbb0bc702dc955c8613baec27d",
+            "0d0fe768c35dd3e0fee6e6c5b9935a22989841949b1d61f33a446ac86a62436f",
         ),
     ],
     ids=["ci_sweep", "paper_run_raw"],

@@ -277,7 +277,9 @@ def frozen_column(run) -> list[float]:
         *np.percentile(rewards, [0, 25, 50, 75, 100]).tolist(),
     ]
     deltas = rewards - mean
-    m2, m3, m4 = (float(moment.mean()) for moment in (deltas * deltas, deltas**3, deltas**4))
+    squares = deltas * deltas
+    moments = (squares, squares * deltas, squares * squares)
+    m2, m3, m4 = (float(moment.mean()) for moment in moments)
     column += [m3 / m2**1.5, m4 / m2**2 - 3.0] if m2 else [math.nan] * 2
     dx = factors - factors.mean()
     sx, sy = float((dx * dx).mean()) ** 0.5, m2**0.5
