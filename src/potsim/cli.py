@@ -29,6 +29,7 @@ from .experiments import (
 from .reporting import (
     TABLE_IDS,
     atomic_writer,
+    emission_timestamp,
     emit_table,
     json_bytes,
     load_bundle,
@@ -256,6 +257,8 @@ def parse_and_validate(arguments: list[str]) -> CliInvocation:
     if args.threads < 1:
         raise ConfigurationError(f"--threads must be at least 1, got {args.threads}")
     out_dir = _out_dir(args.out)
+    # A bad SOURCE_DATE_EPOCH fails here, not when the bundle is written after every run.
+    emission_timestamp()
 
     if args.subcommand == "run":
         return CliInvocation(

@@ -149,7 +149,8 @@ def execute_runs(config: ScenarioConfig, workers: int = 1) -> list[RunResult]:
     """Execute config.runs independent runs, ordered by run index.
 
     ``workers`` > 1 fans runs out over a process pool of at most one process
-    per run and per CPU; results are identical at any worker count.
+    per run and per CPU, in about four batches of runs per process, so every
+    process gets runs; results are identical at any worker count.
     """
     shared = _shared_factors(config)
     tasks = [
@@ -160,7 +161,7 @@ def execute_runs(config: ScenarioConfig, workers: int = 1) -> list[RunResult]:
     if workers <= 1:
         return [_run_task(task) for task in tasks]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_run_task, tasks, chunksize=4))
+        return list(pool.map(_run_task, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
 
 
 # The 7 DistStats fields, skewness, excess kurtosis, correlation, total active time.

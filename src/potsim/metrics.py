@@ -124,9 +124,22 @@ def pearson_correlation(x, y) -> float | list[float]:
 
 
 def competition_ranks(rewards) -> np.ndarray:
-    """Standard competition ranks: 1 + number of strictly richer participants."""
+    """Standard competition ranks: 1 + number of strictly richer participants.
+
+    A ``(runs, n)`` table is ranked row by row in one pass, and the ranks
+    have the table's shape.
+    """
     arr = _as_float_array(rewards)
-    return 1 + np.searchsorted(-np.sort(arr)[::-1], -arr, side="left")
+    rows = np.atleast_2d(arr)
+    order = np.argsort(-rows, axis=1, kind="stable")
+    ranked = np.take_along_axis(rows, order, axis=1)
+    # Down each sorted row, a place takes the place where its tie began.
+    richer = np.zeros(rows.shape, dtype=np.intp)
+    richer[:, 1:] = np.where(ranked[:, 1:] != ranked[:, :-1], np.arange(1, rows.shape[1]), 0)
+    np.maximum.accumulate(richer, axis=1, out=richer)
+    ranks = np.empty_like(richer)
+    np.put_along_axis(ranks, order, richer + 1, axis=1)
+    return ranks.reshape(arr.shape)
 
 
 def ranking_histogram(rewards, participant: int) -> dict[str, int]:

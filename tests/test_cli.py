@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import tempfile
+import time
 import warnings
 from pathlib import Path
 
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from potsim import cli
 from potsim.cli import (
     PAPER_DEFAULTS,
     CliInvocation,
@@ -160,6 +162,33 @@ def test_empty_out_dir_env_counts_as_unset(monkeypatch, tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["potsim_out"]
     assert (tmp_path / "potsim_out" / "manifest.json").is_file()
     assert parse_and_validate(["report"]).from_dir == Path("potsim_out")
+
+
+@pytest.mark.parametrize(
+    "epoch", ["abc", "1.5", "100000000000000000000", "-100000000000000000", "67768036191676799"]
+)
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_bad_source_date_epoch_exits_1_before_any_run(monkeypatch, tmp_path, capsys, epoch, command):
+    def no_run(*args, **kwargs):
+        raise AssertionError("ran before SOURCE_DATE_EPOCH was checked")
+
+    monkeypatch.setattr(cli, "execute_runs", no_run)
+    monkeypatch.setattr(cli, "sweep_team_sizes", no_run)
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
+    out = tmp_path / "out"
+    assert entrypoint([command, "--ci-scale", "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "SOURCE_DATE_EPOCH" in err[0]
+    assert not out.exists()
+
+
+def test_empty_source_date_epoch_counts_as_unset(monkeypatch, tmp_path):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "")
+    argv = ["run", "--participants", "4", "--team-size", "2", "--rounds", "3", "--runs", "1"]
+    assert entrypoint(argv + ["--out", str(tmp_path)]) == 0
+    stamp = json.loads((tmp_path / "manifest.json").read_text())["created_utc"]
+    # The time of the write, not a fixed epoch.
+    assert time.strptime(stamp, "%Y-%m-%dT%H:%M:%SZ").tm_year >= 2024
 
 
 # -- main / entrypoint ---------------------------------------------------------

@@ -142,19 +142,14 @@ def test_redrawn_profiles_differ():
     assert not np.array_equal(runs[0].factors, runs[1].factors)
 
 
-@pytest.mark.parametrize(
-    "workers, runs, cpus, expected",
-    [(64, 10, 3, 3), (2, 10, 3, 2), (8, 2, 3, 2), (8, 10, None, None), (8, 1, 3, None)],
-)
-def test_pool_size_capped_by_runs_and_cpus(monkeypatch, workers, runs, cpus, expected):
-    # os.cpu_count() may return None; the pool then gets one process, i.e. none.
-    sizes = []
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """Stands in for ProcessPoolExecutor: records (pool size, chunksize), runs tasks here."""
+    calls = []
 
     class SerialPool:
-        """Stands in for ProcessPoolExecutor: records its size, runs tasks here."""
-
         def __init__(self, max_workers):
-            sizes.append(max_workers)
+            self.size = max_workers
 
         def __enter__(self):
             return self
@@ -163,17 +158,39 @@ def test_pool_size_capped_by_runs_and_cpus(monkeypatch, workers, runs, cpus, exp
             return False
 
         def map(self, fn, tasks, chunksize=1):
+            calls.append((self.size, chunksize))
             return map(fn, tasks)
 
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "workers, runs, cpus, expected",
+    [(64, 10, 3, 3), (2, 10, 3, 2), (8, 2, 3, 2), (8, 10, None, None), (8, 1, 3, None)],
+)
+def test_pool_size_capped_by_runs_and_cpus(monkeypatch, serial_pool, workers, runs, cpus, expected):
+    # os.cpu_count() may return None; the pool then gets one process, i.e. none.
     monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
     cfg = ScenarioConfig(participant_count=8, team_size=2, rounds=3, runs=runs, master_seed=2)
     results = execute_runs(cfg, workers=workers)
-    assert sizes == ([] if expected is None else [expected])
+    assert [size for size, _ in serial_pool] == ([] if expected is None else [expected])
     monkeypatch.undo()
     assert [r.win_count.tolist() for r in results] == [
         r.win_count.tolist() for r in execute_runs(cfg)
     ]
+
+
+@pytest.mark.parametrize(
+    "workers, runs, chunksize", [(2, 2, 1), (8, 8, 1), (2, 7, 1), (2, 100, 12), (8, 100, 3)]
+)
+def test_every_pool_process_gets_runs(monkeypatch, serial_pool, workers, runs, chunksize):
+    # A batch of chunksize runs goes to one process: at least one batch per process.
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 8)
+    cfg = ScenarioConfig(participant_count=8, team_size=2, rounds=1, runs=runs, master_seed=2)
+    execute_runs(cfg, workers=workers)
+    assert serial_pool == [(workers, chunksize)]
+    assert math.ceil(runs / chunksize) >= workers
 
 
 def test_correlation_aggregates_per_run_coefficients():

@@ -161,6 +161,17 @@ def test_competition_rank_examples():
     assert competition_ranks([10, 5, 5]).tolist() == [1, 2, 2]
     assert competition_ranks([7, 7, 7]).tolist() == [1, 1, 1]
     assert competition_ranks([1, 9, 4, 9]).tolist() == [4, 1, 3, 1]
+    # A table is ranked row by row: each row gives its ranks as a vector.
+    assert competition_ranks([[10, 5, 5], [1, 9, 4]]).tolist() == [[1, 2, 2], [3, 1, 2]]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 4), min_size=5, max_size=5), min_size=1, max_size=4))
+def test_competition_ranks_of_table_match_oracle(table):
+    ranks = competition_ranks(np.array(table, dtype=float) / 4)
+    assert ranks.tolist() == [
+        [oracles.competition_rank(row, pid) for pid in range(len(row))] for row in table
+    ]
 
 
 def test_competition_rank_rejects_bad_id():

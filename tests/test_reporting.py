@@ -4,11 +4,18 @@ import dataclasses
 import io
 import json
 import math
+import os
+import struct
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
+from potsim.cli import PAPER_DEFAULTS
 from potsim.core import ScenarioConfig, run_simulation
 from potsim.experiments import (
     Condition,
@@ -23,6 +30,7 @@ from potsim.reporting import (
     SHAPE_TOLERANCES,
     TABLE_IDS,
     emit_table,
+    format_g6,
     load_bundle,
     render_delta_report,
     scenario_label,
@@ -111,6 +119,13 @@ CSV_ORACLE_CASES = {
     "shared_profile": dict(redraw_profile_per_run=False),
     "override_factor": dict(high_perf_override=(5, 2.5)),
     "exponent_form": dict(base_time=1e9, reward_per_round=1e-7),
+    # Across blocks of CSV_BLOCK_ROWS rows: more runs than one block holds,
+    # and runs longer than a block.
+    "many_runs": dict(runs=600),
+    "run_longer_than_block": dict(participant_count=5000, runs=2),
+    "team_size_1_override_many_runs": dict(team_size=1, high_perf_override=(5, 2.5), runs=600),
+    "zero_rounds_many_runs": dict(rounds=0, runs=600),
+    "exponent_form_many_runs": dict(base_time=1e9, reward_per_round=1e-7, runs=600),
 }
 
 
@@ -121,8 +136,65 @@ def test_runs_csv_matches_row_oracle(overrides):
         fields = dict(participant_count=8, team_size=2, rounds=12, runs=3, master_seed=4)
         runs = execute_runs(ScenarioConfig(**{**fields, **overrides}))
     sink = io.BytesIO()
-    assert write_runs_csv(runs, sink) == 8 * len(runs)
+    assert write_runs_csv(runs, sink) == sum(len(run.cumulative_reward) for run in runs)
     assert sink.getvalue() == oracles.csv_rows_oracle(runs)
+
+
+def test_runs_csv_of_mixed_populations_matches_row_oracle():
+    # Consecutive runs of one population share a block; a new population starts one.
+    small, other = (
+        execute_runs(ScenarioConfig(participant_count=n, team_size=2, rounds=5, runs=3, master_seed=n))
+        for n in (8, 6)
+    )
+    runs = small + other + small[:1]
+    sink = io.BytesIO()
+    assert write_runs_csv(runs, sink) == 3 * 8 + 3 * 6 + 8
+    assert sink.getvalue() == oracles.csv_rows_oracle(runs)
+
+
+def test_runs_csv_memory_is_bounded_by_its_block():
+    # The raw_export benchmark's 100 runs of 1600 rows: blocks of 2048 rows
+    # peak at about 0.6 MiB, blocks of 4096 at 1.0 MiB (1 MB more peak RSS)
+    # and blocks of 2**14 at 4.9 MiB.
+    config = ScenarioConfig(**{**PAPER_DEFAULTS, "team_size": 8, "rounds": 16})
+    runs = execute_runs(config)
+    with open(os.devnull, "wb") as sink:
+        tracemalloc.start()
+        try:
+            rows = write_runs_csv(runs, sink)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert rows == 100 * 1600
+    assert peak <= 1.5 * 2**20
+
+
+def _float_of_bits(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+# Values whose scaled mantissa lies within 2e-7 of a half-integer.
+_near_ties = st.builds(
+    lambda digits, offset, exponent: (digits + 0.5 + offset) * 10.0**exponent,
+    st.integers(10**5, 10**6 - 1),
+    st.floats(-2e-7, 2e-7),
+    st.integers(-300, 295),
+)
+_any_float = st.one_of(st.integers(0, 2**64 - 1).map(_float_of_bits), st.floats(), _near_ties)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_any_float, min_size=1, max_size=40))
+@example([0.0, -0.0, 5e-324, -5e-324, math.inf, -math.inf, math.nan, 2.2250738585072014e-308])
+@example([1e-290, 1e290, 9.999995, 99999.95, 999999.5, 1234565.0, 0.0001, 1e-5, -1.23456789e-308])
+def test_format_g6_matches_percent_g(values):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        text = format_g6(np.array(values))
+    assert text.shape == (len(values), 13)
+    assert [row[row != 0].tobytes().decode("ascii") for row in text] == [
+        "%.6g" % value for value in values
+    ]
 
 
 class _FailingSink:
