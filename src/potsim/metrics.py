@@ -131,14 +131,17 @@ def competition_ranks(rewards) -> np.ndarray:
     """
     arr = _as_float_array(rewards)
     rows = np.atleast_2d(arr)
-    order = np.argsort(-rows, axis=1, kind="stable")
-    ranked = np.take_along_axis(rows, order, axis=1)
+    size = rows.shape[1]
+    # Flat index of each row's values, richest first; ties in any order.
+    order = np.argsort(-rows, axis=1)
+    order += np.arange(0, rows.size, size)[:, None]
+    ranked = rows.ravel()[order]
     # Down each sorted row, a place takes the place where its tie began.
     richer = np.zeros(rows.shape, dtype=np.intp)
-    richer[:, 1:] = np.where(ranked[:, 1:] != ranked[:, :-1], np.arange(1, rows.shape[1]), 0)
+    richer[:, 1:] = np.where(ranked[:, 1:] != ranked[:, :-1], np.arange(1, size), 0)
     np.maximum.accumulate(richer, axis=1, out=richer)
-    ranks = np.empty_like(richer)
-    np.put_along_axis(ranks, order, richer + 1, axis=1)
+    ranks = np.empty(rows.size, dtype=np.intp)
+    ranks[order] = richer + 1
     return ranks.reshape(arr.shape)
 
 

@@ -9,19 +9,16 @@ a delta report can print computed-vs-reference differences.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import json
 import os
 import time
 from contextlib import ExitStack, contextmanager
 from pathlib import Path
-from typing import IO, Iterator, NamedTuple, Sequence
-
-import numpy as np
+from typing import IO, Iterator, Sequence
 
 from .core import ConfigurationError, RunResult, ScenarioConfig
 from .experiments import Condition, ScenarioSummary
-from .metrics import RANKING_BUCKETS, DistStats, ShapeStats, competition_ranks
+from .metrics import RANKING_BUCKETS, DistStats, ShapeStats
 
 TOOL_NAME = "potsim"
 TABLE_IDS = ("rewards", "ranking", "energy", "shape", "correlation")
@@ -121,225 +118,23 @@ def emission_timestamp() -> str:
 
 # -- participant CSV ----------------------------------------------------------
 
-# Rows of runs.csv built at a time. The writer holds about 350 bytes per row
-# of a block, whatever the number of runs; a run longer than a block adds a
-# copy of its own columns and ranks. Blocks of 4096 rows write 100 runs of
-# 1600 participants about 20% faster, but add 1 MB to the process's peak RSS.
-CSV_BLOCK_ROWS = 2048
-
-# format_g6 gathers a value's text from 16 source bytes: its six mantissa
-# digits at bytes 0-2 and 4-6, "." at 3, "0" at 7, "e" at 8, NUL at 9-11,
-# and the exponent's sign and three digits at 12-15.
-_MANTISSA_DIGITS = (0, 1, 2, 4, 5, 6)
-_POINT, _ZERO, _E, _NUL, _SIGN = 3, 7, 8, 9, 12
-_G6_WIDTH = 13  # the longest '%.6g' text, as of -1.23457e-308
-# The text's layout depends on the exponent's class (fixed point for
-# -4 <= e < 6, else exponent form with two or three exponent digits, and
-# +0.0 on its own) and on how many mantissa digits are kept once trailing
-# zeros are stripped. Layout class c keeping k digits is row 7 * c + k.
-_CLASSES = (*range(-4, 6), 10, 100, None)
-# Tables keyed by an exponent e in [-_EXP, _EXP] hold it at e + _EXP.
-_EXP = 300
-# A scaled value this close to a half-integer is formatted by Python.
-_TIE = 0.5 - 1e-7
-
-
-def _g6_layout(exponent: int | None, kept: int) -> list[int]:
-    """Source byte of each text byte, for a class's exponent keeping ``kept`` digits."""
-    digits = list(_MANTISSA_DIGITS[:kept])
-    if exponent is None:
-        text = [_ZERO]
-    elif exponent >= 6:
-        fraction = [_POINT, *digits[1:]] if kept > 1 else []
-        text = [_MANTISSA_DIGITS[0], *fraction, _E, _SIGN, *range(16 - len(str(exponent)), 16)]
-    elif exponent >= 0:
-        whole = list(_MANTISSA_DIGITS[: exponent + 1])
-        text = whole + ([_POINT, *digits[exponent + 1 :]] if kept > exponent + 1 else [])
-    else:
-        text = [_ZERO, _POINT, *[_ZERO] * (-exponent - 1), *digits]
-    return text + [_NUL] * (_G6_WIDTH - len(text))
-
-
-def _words(columns) -> np.ndarray:
-    """Rows of four byte values as uint32 words holding those bytes."""
-    return np.ascontiguousarray(np.column_stack(columns), dtype=np.uint8).view(np.uint32).ravel()
-
-
-class _G6Tables(NamedTuple):
-    scale: np.ndarray  # 10**(5 - e) by exponent, parsed from text so correctly rounded
-    layout_row: np.ndarray  # the first layout row of the exponent's class
-    exp_words: np.ndarray  # the exponent's sign and three digits
-    high_words: np.ndarray  # by triple: its three digits, then "."
-    low_words: np.ndarray  # by triple: its three digits, then "0"
-    kept_high: np.ndarray  # digits kept of a leading triple once its trailing zeros go
-    kept_low: np.ndarray  # the same for the trailing triple, 0 if all its digits go
-    e_word: np.uint32
-    layouts: np.ndarray
-
-
-@functools.cache
-def _g6_tables() -> _G6Tables:
-    """format_g6's lookup tables, built on first use so that only a CSV write pays."""
-    exponents = np.arange(-_EXP, _EXP + 1)
-    triples = np.arange(1000)
-    digits = triples[:, None] // np.array([100, 10, 1]) % 10 + ord("0")
-    trailing_zeros = sum(triples % 10**k == 0 for k in (1, 2, 3))
-    fixed = (exponents >= -4) & (exponents < 6)
-    short = np.abs(exponents) < 100
-    classes = np.select([fixed, short], [exponents + 4, _CLASSES.index(10)], _CLASSES.index(100))
-    return _G6Tables(
-        scale=np.array([float(f"1e{5 - e}") for e in range(-_EXP, _EXP + 1)]),
-        layout_row=7 * classes,
-        exp_words=_words([np.where(exponents < 0, ord("-"), ord("+")), digits[np.abs(exponents)]]),
-        high_words=_words([digits, np.full(1000, ord("."))]),
-        low_words=_words([digits, np.full(1000, ord("0"))]),
-        kept_high=3 - trailing_zeros,
-        kept_low=np.where(triples > 0, 6 - trailing_zeros, 0),
-        e_word=np.frombuffer(b"e\0\0\0", dtype=np.uint32)[0],
-        layouts=np.array([_g6_layout(c, k) for c in _CLASSES for k in range(7)], dtype=np.intp),
-    )
-
-
-def format_g6(values: np.ndarray) -> np.ndarray:
-    """``'%.6g' % x`` of each value, as rows of 13 ASCII bytes padded with NUL.
-
-    A value x in [1e-290, 1e290] has exponent e = floor(log10(x)), and its
-    six digits are D = rint(x * 10**(5 - e)), where the power comes from a
-    table of correctly rounded powers. e moves by one where D falls outside
-    [10**5, 10**6). The product is within about 5e-10 of the exact
-    x * 10**(5 - e), so D is the correctly rounded six digits that Python
-    prints unless that product lies within 1e-7 of a half-integer. Such
-    values, values outside the range, non-finite and negative values
-    (-0.0 too) are formatted by Python itself; +0.0 is ``0``. The text is
-    then gathered from D's digits and e by a layout row chosen by e's class
-    and the number of digits kept, as ``%g`` lays it out.
-    """
-    tables = _g6_tables()
-    x = np.asarray(values, dtype=float)
-    vector = (x >= 1e-290) & (x <= 1e290)
-    zero = (x == 0) & ~np.signbit(x)
-    positive = np.where(vector, x, 1.0)
-    at = np.floor(np.log10(positive)).astype(np.intp) + _EXP
-    scaled = positive * tables.scale[at]
-    mantissa = np.rint(scaled)
-    slow = np.abs(scaled - mantissa) > _TIE
-    moved = np.flatnonzero((mantissa < 1e5) | (mantissa >= 1e6))
-    if moved.size:
-        at[moved] += np.where(mantissa[moved] < 1e5, -1, 1)
-        scaled = positive[moved] * tables.scale[at[moved]]
-        again = np.rint(scaled)
-        mantissa[moved] = again
-        slow[moved] |= (np.abs(scaled - again) > _TIE) | (again < 1e5) | (again >= 1e6)
-    slow |= ~(vector | zero)
-    mantissa[slow] = 1e5
-    high, low = np.divmod(mantissa.astype(np.intp), 1000)
-    source = np.empty((len(x), 4), dtype=np.uint32)
-    np.take(tables.high_words, high, out=source[:, 0])
-    np.take(tables.low_words, low, out=source[:, 1])
-    source[:, 2] = tables.e_word
-    np.take(tables.exp_words, at, out=source[:, 3])
-    layout = tables.layout_row[at] + np.maximum(tables.kept_high[high], tables.kept_low[low])
-    layout[zero] = 7 * _CLASSES.index(None)
-    index = np.take(tables.layouts, layout, axis=0)
-    index += np.arange(0, 16 * len(x), 16)[:, None]
-    text = np.take(source.view(np.uint8).ravel(), index)
-    for row, value in zip(np.flatnonzero(slow).tolist(), x[slow].tolist()):
-        exact = ("%.6g" % value).encode("ascii")
-        text[row] = 0
-        text[row, : len(exact)] = np.frombuffer(exact, dtype=np.uint8)
-    return text
-
-
-def _decimal_digits(values: np.ndarray) -> np.ndarray:
-    """Each non-negative integer's ASCII digits, right-aligned in rows padded with NUL."""
-    width = len(str(int(values.max(initial=0))))
-    text = np.empty((len(values), width), dtype=np.uint8)
-    rest = values
-    for column in reversed(range(width)):
-        rest, digit = np.divmod(rest, 10)
-        text[:, column] = digit + ord("0")
-    # Leading zeros: the columns left of each value's first digit.
-    text[:, :-1][values[:, None] < 10 ** np.arange(width - 1, 0, -1)] = 0
-    return text
-
-
-def _csv_rows(fields: Sequence[np.ndarray]) -> bytes:
-    """CSV rows of the fields' NUL-padded texts, with the NULs dropped (no CSV byte is NUL)."""
-    widths = [field.shape[1] for field in fields]
-    table = np.full((len(fields[0]), sum(widths) + len(fields)), ord(","), dtype=np.uint8)
-    at = 0
-    for field, width in zip(fields, widths):
-        table[:, at : at + width] = field
-        at += width + 1
-    table[:, -1] = ord("\n")
-    return table[table != 0].tobytes()
-
-
-def _csv_groups(runs: Sequence[RunResult]) -> Iterator[tuple[int, Sequence[RunResult]]]:
-    """(first run id, runs) of consecutive runs of one population, at most a block of rows.
-
-    A run longer than a block is a group of its own.
-    """
-    first = 0
-    while first < len(runs):
-        n = len(runs[first].cumulative_reward)
-        stop = first + 1
-        while (
-            stop < len(runs)
-            and (stop + 1 - first) * n <= CSV_BLOCK_ROWS
-            and len(runs[stop].cumulative_reward) == n
-        ):
-            stop += 1
-        yield first, runs[first:stop]
-        first = stop
-
 
 def write_runs_csv(runs: Sequence[RunResult], destination: IO[bytes]) -> int:
     """Write several runs into one CSV, run_id column set by position.
 
-    Returns the number of rows. Consecutive runs of one population are
-    stacked into groups of at most ``CSV_BLOCK_ROWS`` rows and ranked in one
-    ``competition_ranks`` call; a longer run is written in several blocks.
-    Each block is one (rows, width) byte table with every field in a slot
-    of fixed width, padded with NUL, and is written with the NULs dropped.
-    Integers come from digit tables (participant ids and ranks from one
-    table per population). Reals come from ``format_g6``, which equals
-    ``format(x, ".6g")`` for every float, so the bytes are those of a
+    Returns the number of rows. The rows are built in numpy by
+    ``csvrows.write_rows``, a block of runs at a time; its ``format_g6``
+    equals ``format(x, ".6g")`` for every float, so the bytes are those of a
     row-by-row ``format`` writer.
     """
+    # Imported here, so that only a CSV write compiles the formatter and builds its tables.
+    from .csvrows import write_rows
+
     try:
         destination.write((CSV_HEADER + "\n").encode("utf-8"))
-        total = 0
-        ids = np.empty((0, 0), dtype=np.uint8)
-        for first, group in _csv_groups(runs):
-            n = len(group[0].cumulative_reward)
-            if len(ids) != n + 1:  # digits of 0..n: participant ids and ranks
-                ids = _decimal_digits(np.arange(n + 1))
-            rewards = np.array([run.cumulative_reward for run in group])
-            ranks = competition_ranks(rewards).ravel()
-            rewards = rewards.ravel()
-            factors, wins, active_time = (
-                np.concatenate([getattr(run, name) for run in group])
-                for name in ("factors", "win_count", "active_time")
-            )
-            run_ids = _decimal_digits(np.arange(first, first + len(group)))
-            for start in range(0, len(rewards), CSV_BLOCK_ROWS):
-                rows = np.arange(start, min(start + CSV_BLOCK_ROWS, len(rewards)))
-                block = slice(start, start + len(rows))
-                fields = (
-                    run_ids.take(rows // n, axis=0),
-                    ids.take(rows % n, axis=0),
-                    format_g6(factors[block]),
-                    format_g6(rewards[block]),
-                    _decimal_digits(wins[block]),
-                    format_g6(active_time[block]),
-                    ids.take(ranks[block], axis=0),
-                )
-                destination.write(_csv_rows(fields))
-            total += len(rewards)
+        return write_rows(runs, destination)
     except OSError as exc:
         raise OSError(f"participant CSV write failed: {exc}") from exc
-    return total
 
 
 def _select_summaries(summaries: Sequence[ScenarioSummary], which: str) -> list[ScenarioSummary]:

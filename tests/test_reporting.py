@@ -6,8 +6,11 @@ import json
 import math
 import os
 import struct
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,8 +18,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+import potsim
 from potsim.cli import PAPER_DEFAULTS
 from potsim.core import ScenarioConfig, run_simulation
+from potsim.csvrows import format_g6
 from potsim.experiments import (
     Condition,
     SweepSpec,
@@ -30,7 +35,6 @@ from potsim.reporting import (
     SHAPE_TOLERANCES,
     TABLE_IDS,
     emit_table,
-    format_g6,
     load_bundle,
     render_delta_report,
     scenario_label,
@@ -167,6 +171,16 @@ def test_runs_csv_memory_is_bounded_by_its_block():
             tracemalloc.stop()
     assert rows == 100 * 1600
     assert peak <= 1.5 * 2**20
+
+
+def test_importing_the_cli_leaves_the_csv_writer_unloaded():
+    # Every command imports potsim.cli; only a CSV write pays for csvrows and its tables.
+    code = "import sys, potsim.cli; print('potsim.csvrows' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(potsim.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout == "False\n"
 
 
 def _float_of_bits(bits: int) -> float:
