@@ -85,25 +85,27 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if not self.team_sizes:
             raise ConfigurationError("sweep needs at least one team size")
+        if not self.conditions:
+            raise ConfigurationError("sweep needs at least one condition")
         if len(set(self.team_sizes)) != len(self.team_sizes):
             raise ConfigurationError(f"sweep team sizes repeat: {list(self.team_sizes)}")
+        if len(set(self.conditions)) != len(self.conditions):
+            raise ConfigurationError(f"sweep conditions repeat: {','.join(self.conditions)}")
         # Seed derivation rejects a negative team size with a plain ValueError.
         if min(self.team_sizes) < 1:
             raise ConfigurationError(f"sweep team sizes must be positive: {list(self.team_sizes)}")
-        configs = [
-            scenario_config(self.base_config, n, condition)
-            for condition in self.conditions
-            for n in self.team_sizes
-        ]
-        object.__setattr__(self, "configs", tuple(configs))
-        if not self.conditions:
-            raise ConfigurationError("sweep needs at least one condition")
         if Condition.HIGH_PERF in self.conditions and (
             self.base_config.high_perf_override is None
         ):
             raise ConfigurationError(
                 "high_perf condition requires high_perf_override in the base config"
             )
+        configs = [
+            scenario_config(self.base_config, n, condition)
+            for condition in self.conditions
+            for n in self.team_sizes
+        ]
+        object.__setattr__(self, "configs", tuple(configs))
 
 
 @dataclass(frozen=True)

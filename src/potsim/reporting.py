@@ -365,7 +365,7 @@ def write_bundle(
     summaries_dir = out_dir / "summaries"
     summaries_dir.mkdir(parents=True, exist_ok=True)
     names = [_summary_filename(summary) for summary in summaries]
-    # Keyed by path: a team size listed twice names one file, written once.
+    # A sweep rejects a repeated team size or condition, so every summary names its own file.
     files = {
         summaries_dir / name: json_bytes(summary_to_dict(summary))
         for name, summary in zip(names, summaries)

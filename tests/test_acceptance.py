@@ -335,7 +335,9 @@ def test_criterion_10_metrics_match_bruteforce_oracle():
     for _ in range(400):
         size = int(rng.integers(2, 9))
         values = rng.uniform(-50, 50, size).round(3).tolist()
-        stats = distribution_stats(values)
+        # Each draw is a one-row table, and each statistic gives its one value.
+        table = [values]
+        stats = distribution_stats(table)
         pairs = [
             (stats.mean, oracles.mean(values)),
             (stats.std_dev, oracles.population_std(values)),
@@ -346,14 +348,14 @@ def test_criterion_10_metrics_match_bruteforce_oracle():
             (stats.max, max(values)),
         ]
         if len(set(values)) > 1:
-            pairs.append((skewness(values), oracles.skewness(values)))
-            pairs.append((excess_kurtosis(values), oracles.excess_kurtosis(values)))
+            pairs.append((skewness(table), oracles.skewness(values)))
+            pairs.append((excess_kurtosis(table), oracles.excess_kurtosis(values)))
             other = rng.uniform(-50, 50, size).round(3).tolist()
             if len(set(other)) > 1:
                 pairs.append(
-                    (pearson_correlation(values, other), oracles.pearson(values, other))
+                    (pearson_correlation(table, [other]), oracles.pearson(values, other))
                 )
-        for got, expected in pairs:
+        for [got], expected in pairs:
             checked += 1
             if not close(got, expected):
                 failures.append((values, got, expected))
@@ -362,7 +364,7 @@ def test_criterion_10_metrics_match_bruteforce_oracle():
         10,
         "metrics oracle equivalence",
         ok,
-        f"{checked} comparisons on vectors of length <= 8 within 1e-12"
+        f"{checked} comparisons on one-row tables of length <= 8 within 1e-12"
         + (f"; first failure {failures[0]}" if failures else ""),
     )
     assert ok

@@ -498,6 +498,7 @@ BAD_SWEEP_FLAGS = [
     ["--team-sizes", "2,2"],
     ["--team-sizes=-4"],
     ["--team-sizes=0"],
+    ["--conditions", "homogeneous,homogeneous"],
 ]
 
 

@@ -264,8 +264,13 @@ def test_singleton_sweep_is_pow():
 
 
 def test_sweep_rejects_repeated_team_size():
-    with pytest.raises(ConfigurationError, match="repeat"):
-        SweepSpec(base_config=base_sweep_config(), team_sizes=(1, 2, 1))
+    homogeneous, high_perf = Condition.HOMOGENEOUS, Condition.HIGH_PERF
+    for team_sizes, conditions in (
+        ((1, 2, 1), (homogeneous,)),
+        ((1, 2), (homogeneous, high_perf, homogeneous)),
+    ):
+        with pytest.raises(ConfigurationError, match="repeat"):
+            SweepSpec(base_config=base_sweep_config(), team_sizes=team_sizes, conditions=conditions)
 
 
 def test_sweep_rejects_indivisible_before_running():

@@ -1,14 +1,18 @@
 from __future__ import annotations
 
 import math
+import subprocess
+import sys
 import warnings
 from dataclasses import astuple
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 import oracles
 from potsim import experiments
@@ -33,74 +37,131 @@ def spread(values) -> float:
     return max(values) - min(values)
 
 
+# -- pytest settings --------------------------------------------------------------
+
+
+def test_failing_property_is_reported_and_later_tests_run(tmp_path):
+    # Reporting a failing example imports libcst, which warns; pytest's
+    # settings must not turn that warning into an INTERNALERROR.
+    (tmp_path / "pyproject.toml").write_bytes(
+        (Path(__file__).parents[1] / "pyproject.toml").read_bytes()
+    )
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_probe.py").write_text(
+        "from hypothesis import given, strategies as st\n\n"
+        "@given(st.integers())\n"
+        "def test_fails(x):\n"
+        "    assert x < 5\n\n"
+        "def test_passes():\n"
+        "    pass\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 1, result.stdout + result.stderr
+    assert "1 failed, 1 passed" in result.stdout
+    assert "INTERNALERROR" not in result.stdout + result.stderr
+
+
+# -- the (runs, n) table contract ---------------------------------------------
+
+
+def test_statistics_reject_non_tables():
+    # Only a 2-D table with at least one column is accepted, by every statistic.
+    statistics = (
+        distribution_stats,
+        skewness,
+        excess_kurtosis,
+        lambda table: pearson_correlation(table, table),
+        competition_ranks,
+        lambda table: ranking_histogram(table, 0),
+    )
+    for bad in ([1.0, 2.0, 3.0], np.ones((2, 3, 4)), np.empty((3, 0)), np.empty((0, 0)), 5.0):
+        for statistic in statistics:
+            with pytest.raises(ValueError, match=r"expected a \(runs, n\) table"):
+                statistic(bad)
+
+
 # -- distribution_stats -----------------------------------------------------
 
 
 def test_constant_vector():
-    stats = distribution_stats([5, 5, 5, 5])
-    assert stats == DistStats(mean=5, std_dev=0, min=5, p25=5, median=5, p75=5, max=5)
+    stats = distribution_stats([[5, 5, 5, 5], [2, 2, 2, 2]])
+    rows = [5, 2]
+    assert stats == DistStats(
+        mean=rows, std_dev=[0, 0], min=rows, p25=rows, median=rows, p75=rows, max=rows
+    )
 
 
 def test_two_point_vector_population_std():
-    stats = distribution_stats([0, 10])
-    assert stats.mean == 5
-    assert stats.std_dev == 5
-    assert stats.min == 0
-    assert stats.median == 5
-    assert stats.max == 10
+    stats = distribution_stats([[0, 10]])
+    assert stats.mean == [5]
+    assert stats.std_dev == [5]
+    assert stats.min == [0]
+    assert stats.median == [5]
+    assert stats.max == [10]
 
 
 def test_linear_interpolation_percentiles():
-    stats = distribution_stats([1, 2, 3, 4, 5])
-    assert stats.p25 == 2
-    assert stats.p75 == 4
-
-
-def test_distribution_stats_rejects_empty():
-    with pytest.raises(ValueError):
-        distribution_stats([])
+    stats = distribution_stats([[1, 2, 3, 4, 5], [5, 4, 3, 2, 1]])
+    assert stats.p25 == [2, 2]
+    assert stats.p75 == [4, 4]
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(finite_floats, min_size=1, max_size=30))
-def test_percentile_monotonicity(values):
-    stats = distribution_stats(values)
-    assert stats.min <= stats.p25 <= stats.median <= stats.p75 <= stats.max
+@given(arrays(float, array_shapes(min_dims=2, max_dims=2, max_side=30), elements=finite_floats))
+def test_percentile_monotonicity(table):
+    stats = distribution_stats(table)
+    for row in zip(stats.min, stats.p25, stats.median, stats.p75, stats.max):
+        assert list(row) == sorted(row)
 
 
 # -- skewness / kurtosis ----------------------------------------------------
 
 
 def test_symmetric_vector_has_zero_skewness():
-    assert skewness([-1, 0, 1]) == pytest.approx(0, abs=1e-12)
+    assert skewness([[-1, 0, 1], [3, 5, 7]]) == pytest.approx([0, 0], abs=1e-12)
 
 
 def test_skewness_frozen_example():
-    # m2 = 3/16, m3 = 3/32 for [0,0,0,1], so g1 = 2/sqrt(3).
-    assert skewness([0, 0, 0, 1]) == pytest.approx(2 / math.sqrt(3), abs=1e-12)
-    assert skewness([0, 0, 0, 1]) == pytest.approx(1.1547, abs=1e-4)
+    # m2 = 3/16, m3 = 3/32 for [0,0,0,1], so g1 = 2/sqrt(3); mirrored, -g1.
+    table = [[0, 0, 0, 1], [1, 1, 1, 0]]
+    assert skewness(table) == pytest.approx([2 / math.sqrt(3), -2 / math.sqrt(3)], abs=1e-12)
+    assert skewness(table) == pytest.approx([1.1547, -1.1547], abs=1e-4)
 
 
 def test_skewness_affine_invariance():
     values = [0.5, 1.0, 4.0, 4.5, 9.0]
     transformed = [3 * x + 7 for x in values]
-    assert skewness(transformed) == pytest.approx(skewness(values), rel=1e-12)
+    original, affine = skewness([values, transformed])
+    assert affine == pytest.approx(original, rel=1e-12)
 
 
 def test_two_point_symmetric_kurtosis():
-    assert excess_kurtosis([-1, -1, 1, 1]) == pytest.approx(-2, abs=1e-12)
+    assert excess_kurtosis([[-1, -1, 1, 1], [3, 5, 5, 3]]) == pytest.approx([-2, -2], abs=1e-12)
 
 
 def test_uniform_sample_kurtosis():
     sample = np.random.default_rng(3).uniform(0, 1, 100_000)
-    assert excess_kurtosis(sample) == pytest.approx(-1.2, abs=0.05)
+    assert excess_kurtosis(sample[None]) == pytest.approx([-1.2], abs=0.05)
 
 
 def test_shape_stats_reject_zero_variance():
-    with pytest.raises(ValueError, match="zero-variance"):
-        skewness([2, 2, 2])
-    with pytest.raises(ValueError, match="zero-variance"):
-        excess_kurtosis([2, 2, 2])
+    # A zero-variance row, one value long or constant, has no shape: it reads
+    # NaN, and the varying rows of the same table keep the oracle's value.
+    assert math.isnan(skewness([[7]])[0]) and math.isnan(excess_kurtosis([[7]])[0])
+    table = [[2, 2, 2, 2], [0, 0, 0, 1], [2, 2, 2, 2]]
+    for statistic, oracle in (
+        (skewness, oracles.skewness),
+        (excess_kurtosis, oracles.excess_kurtosis),
+    ):
+        first, varying, last = statistic(table)
+        assert math.isnan(first) and math.isnan(last)
+        assert math.isclose(varying, oracle(table[1]), rel_tol=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
@@ -112,35 +173,43 @@ def test_shape_stats_reject_zero_variance():
 def test_shape_affine_invariance_property(values, scale, shift):
     if spread(values) < 0.01:
         return
-    transformed = [scale * x + shift for x in values]
-    assert skewness(transformed) == pytest.approx(skewness(values), rel=1e-6, abs=1e-9)
-    assert excess_kurtosis(transformed) == pytest.approx(
-        excess_kurtosis(values), rel=1e-6, abs=1e-9
-    )
-    negated = [-x for x in values]
-    assert skewness(negated) == pytest.approx(-skewness(values), rel=1e-6, abs=1e-9)
+    table = [values, [scale * x + shift for x in values], [-x for x in values]]
+    skew, transformed_skew, negated_skew = skewness(table)
+    kurtosis, transformed_kurtosis, _ = excess_kurtosis(table)
+    assert transformed_skew == pytest.approx(skew, rel=1e-6, abs=1e-9)
+    assert transformed_kurtosis == pytest.approx(kurtosis, rel=1e-6, abs=1e-9)
+    assert negated_skew == pytest.approx(-skew, rel=1e-6, abs=1e-9)
 
 
 # -- pearson_correlation ------------------------------------------------------
 
 
 def test_perfect_positive_correlation():
-    assert pearson_correlation([1, 2, 3], [3, 5, 7]) == pytest.approx(1.0, abs=1e-12)
+    r = pearson_correlation([[1, 2, 3], [0, 5, 10]], [[3, 5, 7], [-4, -3, -2]])
+    assert r == pytest.approx([1.0, 1.0], abs=1e-12)
 
 
 def test_perfect_negative_correlation():
-    assert pearson_correlation([1, 2, 3], [-1, -2, -3]) == pytest.approx(-1.0, abs=1e-12)
+    assert pearson_correlation([[1, 2, 3]], [[-1, -2, -3]]) == pytest.approx([-1.0], abs=1e-12)
 
 
 def test_correlation_frozen_example():
-    assert pearson_correlation([1, 2, 3, 4], [1, 3, 2, 4]) == pytest.approx(0.8, abs=1e-12)
+    assert pearson_correlation([[1, 2, 3, 4]], [[1, 3, 2, 4]]) == pytest.approx([0.8], abs=1e-12)
 
 
 def test_correlation_errors():
     with pytest.raises(ValueError, match="mismatch"):
-        pearson_correlation([1, 2, 3], [1, 2])
-    with pytest.raises(ValueError, match="zero-variance"):
-        pearson_correlation([1, 1, 1], [1, 2, 3])
+        pearson_correlation([[1, 2, 3]], [[1, 2]])
+    with pytest.raises(ValueError, match="mismatch"):
+        pearson_correlation([[1, 2, 3], [4, 5, 6]], [[1, 2, 3]])
+    # A zero-variance row on either side reads NaN; the other rows keep the
+    # oracle's value.
+    x = [[1, 1, 1], [1, 2, 3], [1, 2, 3], [7, 7, 7]]
+    y = [[1, 2, 3], [1, 3, 2], [4, 4, 4], [7, 7, 7]]
+    nan_x, varying, nan_y, nan_both = pearson_correlation(x, y)
+    assert math.isnan(nan_x) and math.isnan(nan_y) and math.isnan(nan_both)
+    assert math.isclose(varying, oracles.pearson(x[1], y[1]), rel_tol=1e-12)
+    assert math.isnan(pearson_correlation([[7]], [[8]])[0])
 
 
 @settings(max_examples=60, deadline=None)
@@ -150,7 +219,7 @@ def test_correlation_bounded(pairs):
     ys = [p[1] for p in pairs]
     if spread(xs) < 0.01 or spread(ys) < 0.01:
         return
-    r = pearson_correlation(xs, ys)
+    [r] = pearson_correlation([xs], [ys])
     assert -1 - 1e-9 <= r <= 1 + 1e-9
 
 
@@ -158,11 +227,13 @@ def test_correlation_bounded(pairs):
 
 
 def test_competition_rank_examples():
-    assert competition_ranks([10, 5, 5]).tolist() == [1, 2, 2]
-    assert competition_ranks([7, 7, 7]).tolist() == [1, 1, 1]
-    assert competition_ranks([1, 9, 4, 9]).tolist() == [4, 1, 3, 1]
-    # A table is ranked row by row: each row gives its ranks as a vector.
-    assert competition_ranks([[10, 5, 5], [1, 9, 4]]).tolist() == [[1, 2, 2], [3, 1, 2]]
+    assert competition_ranks([[10, 5, 5], [7, 7, 7], [1, 9, 4]]).tolist() == [
+        [1, 2, 2],
+        [1, 1, 1],
+        [3, 1, 2],
+    ]
+    assert competition_ranks([[1, 9, 4, 9]]).tolist() == [[4, 1, 3, 1]]
+    assert competition_ranks(np.empty((0, 3))).shape == (0, 3)
 
 
 @settings(max_examples=60, deadline=None)
@@ -224,12 +295,13 @@ SUMMARY_CONFIG = ScenarioConfig(participant_count=4, team_size=1, rounds=1, runs
 
 
 def per_run_values(run) -> list[float]:
-    rewards = run.cumulative_reward
+    """One run's statistics, from one-row tables."""
+    rewards = run.cumulative_reward[None]
     return [
-        *astuple(distribution_stats(rewards)),
-        skewness(rewards),
-        excess_kurtosis(rewards),
-        pearson_correlation(run.factors, rewards),
+        *(value for [value] in astuple(distribution_stats(rewards))),
+        *skewness(rewards),
+        *excess_kurtosis(rewards),
+        *pearson_correlation(run.factors[None], rewards),
         run.active_time.sum(),
     ]
 
@@ -299,23 +371,6 @@ def frozen_column(run) -> list[float]:
     return column
 
 
-def vector_column(run) -> list[float]:
-    """One run's statistics from 1-D calls, NaN where a call raises ValueError."""
-    rewards = run.cumulative_reward
-    column = list(astuple(distribution_stats(rewards)))
-    for statistic, args in (
-        (skewness, (rewards,)),
-        (excess_kurtosis, (rewards,)),
-        (pearson_correlation, (run.factors, rewards)),
-    ):
-        try:
-            column.append(statistic(*args))
-        except ValueError:
-            column.append(math.nan)
-    column.append(float(run.active_time.sum()))
-    return column
-
-
 def hex_column(values) -> list[str]:
     return [float(value).hex() for value in values]
 
@@ -375,47 +430,11 @@ def test_chunked_table_matches_per_run_statistics(scenario):
         assert table.shape == (11, config.runs)
         for run, column in zip(runs, table.T):
             assert hex_column(column) == hex_column(frozen_column(run))
-            assert hex_column(column) == hex_column(vector_column(run))
     if config.high_perf_override is None:
         assert ranking is None
     else:
         pid = config.high_perf_override[0]
-        ranks = [int(competition_ranks(run.cumulative_reward)[pid]) for run in runs]
+        ranks = [int(competition_ranks(run.cumulative_reward[None])[0, pid]) for run in runs]
         assert list(ranking.values()) == [ranks.count(rank) for rank in range(1, 11)] + [
             sum(rank >= 11 for rank in ranks)
         ]
-
-
-# -- brute-force oracle equivalence ------------------------------------------------
-
-
-def corpus(rng, count=200):
-    vectors = []
-    for _ in range(count):
-        size = rng.integers(2, 9)
-        vectors.append(rng.uniform(-50, 50, size).round(3).tolist())
-    return vectors
-
-
-def test_oracle_equivalence_on_short_vectors():
-    rng = np.random.default_rng(123)
-    for values in corpus(rng):
-        stats = distribution_stats(values)
-        assert math.isclose(stats.mean, oracles.mean(values), rel_tol=1e-12, abs_tol=1e-12)
-        assert math.isclose(
-            stats.std_dev, oracles.population_std(values), rel_tol=1e-12, abs_tol=1e-12
-        )
-        for p, got in ((25, stats.p25), (50, stats.median), (75, stats.p75)):
-            assert math.isclose(
-                got, oracles.percentile_linear(values, p), rel_tol=1e-12, abs_tol=1e-12
-            )
-        if len(set(values)) > 1:
-            assert math.isclose(
-                skewness(values), oracles.skewness(values), rel_tol=1e-12, abs_tol=1e-12
-            )
-            assert math.isclose(
-                excess_kurtosis(values),
-                oracles.excess_kurtosis(values),
-                rel_tol=1e-12,
-                abs_tol=1e-12,
-            )
