@@ -291,9 +291,11 @@ def parse_and_validate(arguments: list[str]) -> CliInvocation:
 
 def _cmd_run(invocation: CliInvocation) -> int:
     config = invocation.config
+    # Made before the first run, so an --out that cannot be a directory
+    # fails at once, not after every run.
+    invocation.out_dir.mkdir(parents=True, exist_ok=True)
     runs = execute_runs(config, workers=invocation.threads)
     summary = summarize_runs(config, runs)
-    invocation.out_dir.mkdir(parents=True, exist_ok=True)
     runs_csv = None
     # runs.csv is moved into place after the bundle is written, so a failed
     # bundle write keeps the old runs.csv as well.
@@ -314,8 +316,8 @@ def _cmd_run(invocation: CliInvocation) -> int:
 
 
 def _cmd_sweep(invocation: CliInvocation) -> int:
-    summaries = sweep_team_sizes(invocation.sweep, workers=invocation.threads)
     invocation.out_dir.mkdir(parents=True, exist_ok=True)
+    summaries = sweep_team_sizes(invocation.sweep, workers=invocation.threads)
     write_bundle(invocation.out_dir, "sweep", summaries, invocation.sweep.base_config)
     for summary in summaries:
         print(

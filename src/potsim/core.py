@@ -11,28 +11,39 @@ contribute sequentially), and the fastest team wins the round's fixed
 reward, split equally among its members. Team size 1 reduces to classic
 individual proof-of-work racing.
 
-Stream contract (v3). A run seed feeds three streams: ``default_rng(seed)``
-draws the performance profile, and the two children of
-``SeedSequence(seed).spawn(2)`` draw the multipliers and the team orders.
-Rounds are drawn in blocks: one ``uniform`` call of shape (rounds, n) and
-one ``form_teams`` call per block.
+Stream contract (v4). A run seed feeds two streams: ``default_rng(seed)``
+draws the performance profile, and the rounds read raw 64-bit words from
+``default_rng(SeedSequence(seed).spawn(1)[0])``. Round r reads one word per
+participant, word i being participant i's, and each word serves twice:
 
-Each round's order is a sort of packed keys. The round reads n raw 64-bit
-words from the team stream, and with b = ``(n - 1).bit_length()`` the low b
-bits of word i are replaced by id i. Sorting the keys orders the ids by
-their words' high 64 - b bits, and the low b bits of the sorted keys are
-the order: exactly uniform whenever those high parts are distinct. A round
-where two of them tie takes ``default_rng(words[:4]).permutation(n)`` of its
-own raw words instead, which keeps the order uniform and reads nothing more
-from the stream. Expected ties per round are about n**2 / 2**(65 - b):
-1e-10 at n = 1600, but 2**-2 at n = 2**21, where a tied round is still
-correct but pays for a sort and a permutation. Team size 1 draws no order,
-since order cannot move an argmin over single members.
+- Its low 32 bits, ``low``, give the multiplier
+  ``lo + (hi - lo) * low * 2**-32`` on ``multiplier_range`` [lo, hi). With
+  ``slope = (hi - lo) * 2**-32 * work_time / f`` and
+  ``offset = lo * work_time / f`` for a participant of factor f, its member
+  time is ``low * slope + offset``, evaluated in that order.
+- Its high 32 bits order the round's teams. The key of participant i is
+  the word's high half over the flat index ``r * n + i`` as its low half;
+  sorting a round's keys orders the ids by their high halves, exactly
+  uniformly whenever those are distinct, and the low halves of the sorted
+  keys index the round's member times directly. A round where two high
+  halves tie takes ``default_rng(high halves of words[:4]).permutation(n)``
+  instead: still uniform, seeded from the high halves alone so the order
+  stays independent of the multipliers, and reading nothing more from the
+  stream. Expected tied rounds per round are about n**2 / 2**33: 3e-6 at
+  n = 160, 3e-4 at n = 1600 and about 0.5 at n = 65536, where a tied round
+  is still correct but pays for a sort and a permutation. Team size 1 uses
+  only the low halves and sorts nothing, since order cannot move an argmin
+  over single members.
+
+The halves are taken arithmetically, so no output depends on the host's
+byte order. Rounds are drawn in blocks: one ``random_raw`` call of shape
+(rounds, n) and one ``form_teams`` call per block.
 
 The block length is a fixed rule of the participant count, and no output
-depends on it: the streams are read in the same sequence whatever the
-block, member times are added to the totals one round after another in
-round order, and wins are integer counts.
+depends on it: the round stream is read in the same sequence whatever the
+block, a round's order does not depend on its place in the block, member
+times are added to the totals one round after another in round order, and
+wins are integer counts.
 
 There is one engine path: ``run_simulation`` calls ``form_teams`` and
 ``execute_round`` once per block, and ``execute_round`` returns the winners
@@ -197,64 +208,77 @@ def draw_performance_profile(config: ScenarioConfig, stream: np.random.Generator
     return factors
 
 
-# Elements per block of rounds: 2**14 float64 member times, and as many
-# gather indices and gathered times, are 128 KiB each.
+# Elements per block of rounds: 2**14 raw words, member times, flat indices
+# and gathered times are 128 KiB each. A block thus holds at most
+# max(2**14, n) elements, so every flat index r * n + i fits the low half of
+# a sort key.
 _BLOCK_ELEMENTS = 2**14
+_HIGH_HALF = np.uint64(0xFFFFFFFF00000000)
+_LOW_HALF = np.uint64(0xFFFFFFFF)
 
 
-def form_teams(
-    participant_count: int, team_size: int, stream: np.random.Generator, rounds: int
-) -> np.ndarray:
+def form_teams(words: np.ndarray, team_size: int) -> np.ndarray:
     """Randomly partition participants into teams for a block of rounds.
 
-    Returns a read-only (rounds, team_size, team_count) id array: in round
-    r, column t of ``teams[r]`` lists team t's members. Each round's order is
-    a uniformly random permutation of all ids, drawn as the module docstring
-    sets out and cut into team_size rows of team_count ids, so every round is
-    an exact partition by construction. Team size 1 draws nothing and returns
-    the identity.
+    ``words`` is the block's (rounds, n) array of raw words, row r holding
+    round r's word of each participant by id. Returns a read-only (rounds,
+    team_size, team_count) array of flat indices ``r * n + i`` into the
+    block's (rounds, n) member times: in round r, column t lists team t's
+    members. Each round's order is a uniformly random permutation of all
+    ids, taken from the words' high halves as the module docstring sets out
+    and cut into team_size rows of team_count ids, so every round is an
+    exact partition by construction. The words are sorted in place and the
+    result is a view of them, so read their low halves first. Team size 1
+    sorts nothing and returns the identity order.
     """
-    if team_size < 1 or participant_count % team_size != 0:
+    rounds, n = words.shape
+    if team_size < 1 or n % team_size != 0:
         raise ConfigurationError(
-            f"participant count {participant_count} is not divisible "
-            f"by team size {team_size}"
+            f"participant count {n} is not divisible by team size {team_size}"
         )
-    n = participant_count
+    flat = _block_scratch(rounds, team_size, n // team_size)[0]
     if team_size == 1:
-        return np.broadcast_to(np.arange(n), (rounds, 1, n))
-    low = np.uint64((1 << (n - 1).bit_length()) - 1)
-    keys = stream.bit_generator.random_raw((rounds, n))
-    fallback_seeds = keys[:, :4].copy()
-    keys &= ~low
-    keys |= np.arange(n, dtype=np.uint64)
-    keys.sort(axis=1)
-    # Neighbours in a sorted row share their high bits exactly when their
-    # XOR fits in the low bits.
-    gaps = keys[:, 1:] ^ keys[:, :-1]
-    tied = np.flatnonzero((gaps <= low).any(axis=1)) if rounds and gaps.min() <= low else ()
-    keys &= low
-    teams = keys.view(np.int64)
+        return flat.view(np.int64).reshape(rounds, 1, n)
+    fallback_seeds = words[:, :4] >> np.uint64(32)
+    words &= _HIGH_HALF
+    words |= flat
+    words.sort(axis=1)
+    # Neighbours in a sorted row share their high halves exactly when their
+    # XOR fits in the low half. One pass over the whole block, row ends
+    # included, is half the time of a pass row by row; only a hit is looked
+    # at row by row.
+    keys = words.ravel()
+    tied = ()
+    if keys.size and (keys[1:] ^ keys[:-1]).min() <= _LOW_HALF:
+        tied = np.flatnonzero((words[:, 1:] ^ words[:, :-1] <= _LOW_HALF).any(axis=1))
+    words &= _LOW_HALF
+    teams = words.view(np.int64)
     for r in tied:
-        teams[r] = np.random.default_rng(fallback_seeds[r]).permutation(n)
+        teams[r] = np.random.default_rng(fallback_seeds[r]).permutation(n) + r * n
     teams.flags.writeable = False
     return teams.reshape(rounds, team_size, n // team_size)
 
 
-# execute_round's scratch, kept per thread and replaced only when a block
-# needs another shape or more rounds. Freed after every block or run, block-
-# sized scratch lets glibc's malloc trim the heap and fault the same pages in
+# The engine's scratch, kept per thread and replaced only when a block needs
+# another shape or more rounds. Freed after every block or run, block-sized
+# scratch lets glibc's malloc trim the heap and fault the same pages in
 # again: about 44k page faults, some 15% of the time, in a sweep of 22
 # scenarios of 160 participants x 160 rounds x 20 runs. It holds one block:
-# about 320 KiB, or above 2**14 participants three arrays of one round.
+# 128 KiB of flat indices, 128 KiB of gathered times and at most 64 KiB of
+# team times, or above 2**14 participants the three arrays of one round.
+# Team size 1 reads only the flat indices and never touches the other two.
 _scratch = threading.local()
 
 
 def _block_scratch(rounds: int, team_size: int, team_count: int) -> tuple[np.ndarray, ...]:
-    """This thread's gather indices, gathered times and team times for a block."""
+    """This thread's read-only flat indices r * n + i, gathered times and team times."""
     shape = (rounds, team_size, team_count)
     buffers = getattr(_scratch, "buffers", None)
-    if buffers is None or buffers[0].shape[1:] != shape[1:] or len(buffers[0]) < rounds:
-        buffers = np.empty(shape, np.intp), np.empty(shape), np.empty((rounds, team_count))
+    if buffers is None or buffers[1].shape[1:] != shape[1:] or len(buffers[1]) < rounds:
+        n = team_size * team_count
+        flat = np.arange(rounds * n, dtype=np.uint64).reshape(rounds, n)
+        flat.flags.writeable = False
+        buffers = flat, np.empty(shape), np.empty((rounds, team_count))
         _scratch.buffers = buffers
     return tuple(buffer[:rounds] for buffer in buffers)
 
@@ -262,23 +286,22 @@ def _block_scratch(rounds: int, team_size: int, team_count: int) -> tuple[np.nda
 def execute_round(teams: np.ndarray, member_times: np.ndarray) -> np.ndarray:
     """Return the winning team index of every round in a block.
 
-    ``teams`` is one ``form_teams`` block of shape (rounds, team_size,
-    team_count), team t of round r being column t of ``teams[r]``, and row r
-    of ``member_times`` holds round r's times by participant id. A team's
-    time is the sum down its column, added member by member, and the winner
-    is the argmin, which also breaks the measure-zero ties toward the lowest
-    index. Round r's winning members are ``teams[r, :, winners[r]]``.
+    ``member_times`` holds the block's member times, row r by participant id
+    for round r, and ``teams`` is the block's ``form_teams`` result: flat
+    indices r * n + i into ``member_times``, team t of round r being column
+    t of ``teams[r]``. A team's time is the sum down its column, added
+    member by member, and the winner is the argmin, which also breaks the
+    measure-zero ties toward the lowest index. Round r's winning members are
+    ``teams[r, :, winners[r]] - r * n``.
     """
     if teams.shape[1] == 1:
         # Single-member teams are ``form_teams``' identity: team t is
         # participant t, so the winner is the argmin of the times as they are.
         return member_times.argmin(axis=1)
-    rounds, n = member_times.shape
-    index, gathered, team_times = _block_scratch(rounds, *teams.shape[1:])
-    np.add(teams, np.arange(0, rounds * n, n).reshape(rounds, 1, 1), out=index)
+    _, gathered, team_times = _block_scratch(len(member_times), *teams.shape[1:])
     # Every index is in range by construction, so "clip" moves none; unlike
     # the default "raise", it writes into ``out`` without a temporary copy.
-    member_times.take(index, out=gathered, mode="clip")
+    member_times.take(teams, out=gathered, mode="clip")
     return np.add.reduce(gathered, axis=1, out=team_times).argmin(axis=1)
 
 
@@ -290,8 +313,8 @@ def run_simulation(
     """Execute one run of config.rounds rounds from one run seed.
 
     ``default_rng(run_seed)`` draws the performance factors (unless pre-drawn
-    factors are supplied for shared-profile scenarios); the rounds draw from
-    the two spawned child streams, as the module docstring sets out.
+    factors are supplied for shared-profile scenarios); the rounds read the
+    spawned child stream, as the module docstring sets out.
     Identical (config, run_seed, factors) always reproduce the same result.
     """
     if factors is None:
@@ -301,29 +324,30 @@ def run_simulation(
             f"profile length {len(factors)} does not match "
             f"participant count {config.participant_count}"
         )
-    multiplier_stream, team_stream = (
-        np.random.default_rng(child) for child in np.random.SeedSequence(run_seed).spawn(2)
-    )
+    stream = np.random.default_rng(np.random.SeedSequence(run_seed).spawn(1)[0]).bit_generator
 
     n = config.participant_count
     lo, hi = config.multiplier_range
+    # member time = low * slope + offset, as the module docstring sets out.
+    slope = (hi - lo) * 2.0**-32 * config.work_time / factors
+    offset = lo * config.work_time / factors
     block = max(1, _BLOCK_ELEMENTS // n)
     win_count = np.zeros(n, dtype=np.int64)
     active_time = np.zeros(n)
     # Size this thread's scratch for the run's largest block before the first
     # block is drawn: allocated inside the first block instead, above its
-    # arrays, it took more page faults and about 0.4 MB more peak RSS. Team
-    # size 1 gathers nothing and needs none.
-    if config.team_size > 1:
-        _block_scratch(min(block, config.rounds), config.team_size, config.team_count)
+    # arrays, it took more page faults and about 0.4 MB more peak RSS.
+    _block_scratch(min(block, config.rounds), config.team_size, config.team_count)
     for first in range(0, config.rounds, block):
         rounds = min(block, config.rounds - first)
-        teams = form_teams(n, config.team_size, team_stream, rounds)
-        member_times = multiplier_stream.uniform(lo, hi, (rounds, n))
-        member_times *= config.work_time
-        member_times /= factors
+        words = stream.random_raw((rounds, n))
+        # Truncating to uint32 keeps the low halves whatever the byte order.
+        member_times = words.astype(np.uint32).astype(np.float64)
+        member_times *= slope
+        member_times += offset
+        teams = form_teams(words, config.team_size)
         winners = execute_round(teams, member_times)
-        winning_members = teams[np.arange(rounds), :, winners]
+        winning_members = teams[np.arange(rounds), :, winners] % n
         win_count += np.bincount(winning_members.ravel(), minlength=n)
         # Add the block to the totals round after round, with no temporary:
         # the totals go into row 0, and the reduction down the rows adds one
@@ -335,7 +359,7 @@ def run_simulation(
         else:
             active_time[0] = np.add.accumulate(member_times[:, 0])[-1]
         # Only one block is held at a time: drop this one before drawing the next.
-        del teams, member_times
+        del words, teams, member_times
 
     # Built from win counts so reward == share * wins holds bit-exactly.
     cumulative_reward = (config.reward_per_round / config.team_size) * win_count

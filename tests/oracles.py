@@ -112,46 +112,49 @@ SPLITMIX64_SEED1234567 = (
 )
 
 
-def contract_v3_order(n, team_stream):
-    """One round's team order under stream contract v3, from Python ints.
+def contract_v4_order(words):
+    """One round's team order under stream contract v4, from its raw words as Python ints.
 
-    The round reads n raw words. Word i keeps its high 64 - b bits, with
-    b = (n - 1).bit_length(), and takes id i as its low b bits; sorting the
-    keys sorts the ids by their high bits. If two high parts are equal, the
-    round's order is instead default_rng(first four raw words).permutation(n).
+    The ids are sorted by their words' high 32 bits. If two high halves are
+    equal, the round's order is instead
+    default_rng(high halves of the first four words).permutation(n).
     """
-    words = team_stream.bit_generator.random_raw(n).tolist()
-    b = (n - 1).bit_length()
-    highs = [word >> b for word in words]
-    if len(set(highs)) < n:
-        return np.random.default_rng(words[:4]).permutation(n).tolist()
-    return [pid for _, pid in sorted(zip(highs, range(n)))]
+    highs = [word >> 32 for word in words]
+    if len(set(highs)) < len(words):
+        return np.random.default_rng(highs[:4]).permutation(len(words)).tolist()
+    return [pid for _, pid in sorted(zip(highs, range(len(words))))]
 
 
-def contract_v3_run(participant_count, team_size, rounds, run_seed, work_time,
+def contract_v4_run(participant_count, team_size, rounds, run_seed, work_time,
                     multiplier_range, factors):
-    """One run of stream contract v3, round by round: (win counts, active times).
+    """One run of stream contract v4, round by round: (win counts, active times, tied rounds).
 
-    The two children of SeedSequence(run_seed).spawn(2) draw the multipliers
-    and the team orders: one uniform(lo, hi, n) and, unless team_size is 1,
-    one contract_v3_order per round. The order is cut into team_size rows of
-    team_count ids and team t is column t. Member times are (work_time * m) / f
-    in Python floats, team times are summed slot by slot, and the first
-    lowest team wins.
+    Every round reads n raw words from default_rng(SeedSequence(run_seed).spawn(1)[0]).
+    The low 32 bits of word i give participant i's member time
+    low * slope + offset, with slope = (hi - lo) * 2**-32 * work_time / f and
+    offset = lo * work_time / f, in Python floats. Unless team_size is 1, the
+    words give the round's contract_v4_order, cut into team_size rows of
+    team_count ids with team t as column t. Team times are summed slot by
+    slot, and the first lowest team wins.
     """
-    multiplier_stream, team_stream = (
-        np.random.default_rng(child) for child in np.random.SeedSequence(run_seed).spawn(2)
-    )
+    stream = np.random.default_rng(np.random.SeedSequence(run_seed).spawn(1)[0])
     n = participant_count
     team_count = n // team_size
     lo, hi = multiplier_range
-    factors = [float(f) for f in factors]
+    slopes = [(hi - lo) * 2**-32 * work_time / float(f) for f in factors]
+    offsets = [lo * work_time / float(f) for f in factors]
     wins = [0] * n
     active = [0.0] * n
-    for _ in range(rounds):
-        order = list(range(n)) if team_size == 1 else contract_v3_order(n, team_stream)
-        multipliers = multiplier_stream.uniform(lo, hi, n).tolist()
-        times = [(work_time * m) / f for m, f in zip(multipliers, factors)]
+    tied = []
+    for r in range(rounds):
+        words = stream.bit_generator.random_raw(n).tolist()
+        times = [(word & 0xFFFFFFFF) * slope + offset
+                 for word, slope, offset in zip(words, slopes, offsets)]
+        order = list(range(n))
+        if team_size > 1:
+            order = contract_v4_order(words)
+            if len({word >> 32 for word in words}) < n:
+                tied.append(r)
         teams = [[order[slot * team_count + t] for slot in range(team_size)]
                  for t in range(team_count)]
         team_times = []
@@ -163,4 +166,4 @@ def contract_v3_run(participant_count, team_size, rounds, run_seed, work_time,
         for member in teams[team_times.index(min(team_times))]:
             wins[member] += 1
         active = [a + x for a, x in zip(active, times)]
-    return wins, active
+    return wins, active, tied

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from potsim import cli
+from potsim import cli, experiments
 from potsim.cli import (
     PAPER_DEFAULTS,
     CliInvocation,
@@ -21,6 +21,7 @@ from potsim.cli import (
     parse_and_validate,
 )
 from potsim.core import ConfigurationError
+from potsim.experiments import execute_runs
 
 
 def read_tree(root: Path) -> dict[str, bytes]:
@@ -302,6 +303,26 @@ def test_out_of_memory_exits_2_with_one_line(tmp_path, capsys, monkeypatch, deta
     assert entrypoint(run_args(tmp_path)) == 2
     err = capsys.readouterr().err
     assert err.splitlines() == [f"error: out of memory{': ' + detail if detail else ''}"]
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_out_naming_a_file_exits_2_before_any_run(tmp_path, capsys, monkeypatch, command):
+    calls = []
+
+    def counted(config, workers=1):
+        calls.append(config)
+        return execute_runs(config, workers)
+
+    monkeypatch.setattr(cli, "execute_runs", counted)
+    monkeypatch.setattr(experiments, "execute_runs", counted)
+    target = tmp_path / "taken"
+    target.write_text("a file, not a directory\n")
+    sizes = ["--team-sizes", "1,2,4"] if command == "sweep" else []
+    assert entrypoint([command, "--ci-scale", *sizes, "--out", str(target)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "taken" in err[0]
+    assert calls == []
+    assert target.read_text() == "a file, not a directory\n"
 
 
 def _drop(key):

@@ -101,86 +101,126 @@ def test_sample_mean_matches_uniform_expectation():
 # -- form_teams ----------------------------------------------------------------
 
 
+LOW_HALF = np.uint64(2**32 - 1)
+
+
+def raw_words(seed, rounds, n):
+    return np.random.default_rng(seed).bit_generator.random_raw((rounds, n))
+
+
+def ids(teams):
+    """A form_teams block's flat indices r * n + i as participant ids i."""
+    rounds, team_size, team_count = teams.shape
+    n = team_size * team_count
+    return teams - np.arange(0, rounds * n, n)[:, None, None]
+
+
 def test_form_teams_partitions_population():
-    teams = form_teams(4, 2, np.random.default_rng(0), 3)
+    teams = form_teams(raw_words(0, 3, 4), 2)
     assert teams.shape == (3, 2, 2)
     assert not teams.flags.writeable
-    for round_teams in teams:
+    for round_teams in ids(teams):
         assert sorted(round_teams.ravel().tolist()) == [0, 1, 2, 3]
 
 
 def test_form_teams_singletons():
-    teams = form_teams(4, 1, np.random.default_rng(0), 3)
+    teams = form_teams(raw_words(0, 3, 4), 1)
     assert teams.shape == (3, 1, 4)
     assert not teams.flags.writeable
-    assert teams.tolist() == [[[0, 1, 2, 3]]] * 3
+    assert ids(teams).tolist() == [[[0, 1, 2, 3]]] * 3
 
 
 def test_form_teams_singletons_draw_nothing():
-    # Team order cannot move an argmin over single members, so PoW draws no order.
-    stream = np.random.default_rng(0)
-    before = stream.bit_generator.state
-    form_teams(4, 1, stream, 5)
-    assert stream.bit_generator.state == before
+    # Team order cannot move an argmin over single members, so PoW takes no
+    # order from its words: they are left as drawn, low halves and all.
+    words = raw_words(0, 5, 4)
+    before = words.copy()
+    form_teams(words, 1)
+    assert np.array_equal(words, before)
 
 
 def test_form_teams_rejects_indivisible():
     with pytest.raises(ConfigurationError, match="not divisible"):
-        form_teams(4, 3, np.random.default_rng(0), 1)
+        form_teams(raw_words(0, 1, 4), 3)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 12), st.integers(1, 8), st.integers(1, 3), st.integers(0, 2**32 - 1))
 def test_form_teams_partition_property(teams, size, rounds, seed):
     n = teams * size
-    teams = form_teams(n, size, np.random.default_rng(seed), rounds)
-    for round_teams in teams:
+    teams = form_teams(raw_words(seed, rounds, n), size)
+    for round_teams in ids(teams):
         assert sorted(round_teams.ravel().tolist()) == list(range(n))
 
 
-class RawWords:
-    """A team stream stand-in whose bit generator hands out preset raw words in order."""
-
-    def __init__(self, words):
-        self.words = np.asarray(words, dtype=np.uint64).ravel()
-        self.used = 0
-        self.bit_generator = self
-
-    def random_raw(self, size):
-        count = math.prod(size)
-        out = self.words[self.used:self.used + count].reshape(size).copy()
-        self.used += count
-        return out
+def tie_round_one(seed):
+    """Raw words for 3 rounds of 8 ids; in round 1 the high halves of ids 2 and 5 tie."""
+    words = raw_words(seed, 3, 8)
+    words[1, 5] = (words[1, 2] & ~LOW_HALF) | (words[1, 5] & LOW_HALF)
+    highs = words >> np.uint64(32)
+    assert highs[1, 5] == highs[1, 2] and len(set(highs[0])) == len(set(highs[2])) == 8
+    return words, highs
 
 
 def test_form_teams_tied_round_takes_seeded_permutation():
-    # 8 ids keep the high 61 bits of their words; in round 1, ids 2 and 5
-    # share theirs, which a sort of the packed keys cannot order fairly.
-    words = np.random.default_rng(3).bit_generator.random_raw((3, 8))
-    low = np.uint64(7)
-    words[1, 5] = (words[1, 2] & ~low) | (words[1, 5] & low)
-    highs = words >> np.uint64(3)
-    assert highs[1, 5] == highs[1, 2] and len(set(highs[0])) == len(set(highs[2])) == 8
-    teams = form_teams(8, 2, RawWords(words), 3)
-    fallback = np.random.default_rng(words[1, :4]).permutation(8)
+    # In round 1, ids 2 and 5 share their high halves, which a sort of the
+    # keys cannot order fairly.
+    words, highs = tie_round_one(3)
+    teams = ids(form_teams(words.copy(), 2))
+    fallback = np.random.default_rng(highs[1, :4]).permutation(8)
     assert teams[1].tolist() == fallback.reshape(2, 4).tolist()
     for r in (0, 2):
         assert teams[r].ravel().tolist() == np.argsort(highs[r]).tolist()
-    one_by_one = RawWords(words)
-    rounds = [form_teams(8, 2, one_by_one, 1)[0] for _ in range(3)]
+    rounds = [form_teams(words[r:r + 1].copy(), 2)[0] for r in range(3)]
     assert np.array_equal(np.stack(rounds), teams)
+
+
+def test_form_teams_row_ends_are_not_ties():
+    # The largest high half of round 0 equals the smallest of round 1. Rows
+    # are separate rounds, so neither takes the fallback.
+    shuffle = np.random.default_rng(5)
+    highs = np.array([shuffle.permutation(8) + 10, shuffle.permutation(8) + 17], dtype=np.uint64)
+    words = (highs << np.uint64(32)) | (raw_words(5, 2, 8) & LOW_HALF)
+    teams = ids(form_teams(words, 2))
+    for r in (0, 1):
+        assert teams[r].ravel().tolist() == np.argsort(highs[r]).tolist()
+
+
+def test_tied_round_order_ignores_low_halves():
+    # The fallback is seeded from high halves only, so the multipliers a
+    # round's words give cannot move its order, tied or not.
+    words, _ = tie_round_one(3)
+    other = words ^ (raw_words(4, 3, 8) & LOW_HALF)
+    assert np.array_equal(words >> np.uint64(32), other >> np.uint64(32))
+    assert not np.array_equal(words, other)
+    assert np.array_equal(form_teams(words, 2), form_teams(other, 2))
 
 
 def test_form_teams_orders_are_uniform():
     # Chi-square of the 24 orders of 4 ids over 120k rounds, below the 0.001
     # critical value for 23 degrees of freedom; the seed fixes the outcome.
     rounds = 120_000
-    orders = form_teams(4, 2, np.random.default_rng(2024), rounds).reshape(rounds, 4)
+    orders = ids(form_teams(raw_words(2024, rounds, 4), 2)).reshape(rounds, 4)
     codes = orders @ np.array([64, 16, 4, 1])
     counts = np.unique(codes, return_counts=True)[1]
     assert len(counts) == 24
     expected = rounds / 24
     assert ((counts - expected) ** 2 / expected).sum() < 49.7
+
+
+def test_form_teams_order_is_independent_of_multipliers():
+    # Chi-square of the joint counts of the 24 orders of 4 ids and whether
+    # id 0's multiplier lies above its range's midpoint, over 120k rounds,
+    # below the 0.001 critical value for 47 degrees of freedom.
+    rounds = 120_000
+    words = raw_words(2025, rounds, 4)
+    upper = (words[:, 0] & LOW_HALF) >= 2**31
+    orders = ids(form_teams(words, 2)).reshape(rounds, 4)
+    codes = 2 * (orders @ np.array([64, 16, 4, 1])) + upper
+    counts = np.unique(codes, return_counts=True)[1]
+    assert len(counts) == 48
+    expected = rounds / 48
+    assert ((counts - expected) ** 2 / expected).sum() < 82.7
 
 
 # -- time formulas ---------------------------------------------------------------
@@ -248,7 +288,7 @@ def test_execute_round_reward_sum_is_reward_per_round():
 
 
 def test_execute_round_pow_winner_is_fastest():
-    block = form_teams(2, 1, np.random.default_rng(0), 1)
+    block = form_teams(raw_words(0, 1, 2), 1)
     (teams,) = block
     (winner,) = execute_round(block, np.array([[540.0, 660.0]]))
     assert winner == 0
@@ -256,12 +296,23 @@ def test_execute_round_pow_winner_is_fastest():
 
 
 def test_execute_round_team_time_is_member_sum():
-    block = form_teams(30, 5, np.random.default_rng(9), 1)
+    block = form_teams(raw_words(9, 1, 30), 5)
     (teams,) = block
     member_times = np.random.default_rng(8).uniform(50.0, 150.0, 30)
     (winner,) = execute_round(block, member_times[None])
     team_times = [math.fsum(member_times[team]) for team in teams.T]
     assert abs(team_times[winner] - min(team_times)) <= 1e-9
+
+
+@pytest.mark.parametrize("multiplier_range", [(0.8, 1.2), (0.5, 3.0), (1e-12, 1e12), (1.1, 1.1)])
+def test_member_times_lie_in_multiplier_range(multiplier_range):
+    # After one round each participant's active time is its member time,
+    # lo * w / f <= time <= hi * w / f with no tolerance.
+    lo, hi = multiplier_range
+    cfg = config(participant_count=4096, team_size=8, rounds=1, multiplier_range=multiplier_range)
+    result = run_simulation(cfg, run_seed=13)
+    assert np.all(lo * cfg.work_time / result.factors <= result.active_time)
+    assert np.all(result.active_time <= hi * cfg.work_time / result.factors)
 
 
 def test_execute_round_member_times_within_bounds():
@@ -279,11 +330,12 @@ def test_execute_round_member_times_within_bounds():
 def test_block_winners_match_one_round_blocks(team_size):
     # A block's winners are those of its rounds taken one at a time (each in
     # a slice of the scratch the whole block left behind).
-    teams = form_teams(24, team_size, np.random.default_rng(5), 9)
+    teams = form_teams(raw_words(5, 9, 24), team_size)
     member_times = np.random.default_rng(6).uniform(50.0, 150.0, (9, 24))
     winners = execute_round(teams, member_times)
     assert winners.shape == (9,)
-    one_by_one = [execute_round(teams[r:r + 1], member_times[r:r + 1])[0] for r in range(9)]
+    one_by_one = [execute_round(teams[r:r + 1] - 24 * r, member_times[r:r + 1])[0]
+                  for r in range(9)]
     assert winners.tolist() == one_by_one
 
 
@@ -431,14 +483,17 @@ def test_expected_total_time_law():
         (160, 1, 160, False),
         (160, 160, 7, False),
         (1, 1, 40, False),
+        (65536, 2048, 3, False),
     ],
 )
-def test_run_matches_contract_v3_oracle(participants, team_size, rounds, shared):
+def test_run_matches_contract_v4_oracle(participants, team_size, rounds, shared):
     # Large populations cross several blocks of rounds (and end in a partial
     # one); the oracle draws round by round, so equality shows that no
     # output depends on the block length. At 160 participants a block is 102
     # rounds, so 160 rounds end in a partial second block; a single
-    # participant's 40 rounds are added to its total in one block.
+    # participant's 40 rounds are added to its total in one block. At 65536
+    # participants about half the rounds tie, and this seed ties round 1
+    # only, so the run takes the seeded fallback between two sorted rounds.
     cfg = config(participant_count=participants, team_size=team_size, rounds=rounds,
                  high_perf_override=(participants // 2, 2.5))
     run_seed = 12345 + team_size
@@ -450,9 +505,10 @@ def test_run_matches_contract_v3_oracle(participants, team_size, rounds, shared)
     expected_factors[participants // 2] = 2.5
     factors = shared_factors if shared else expected_factors
     assert np.array_equal(result.factors, factors)
-    wins, active = oracles.contract_v3_run(
+    wins, active, tied = oracles.contract_v4_run(
         participants, team_size, rounds, run_seed, cfg.work_time, cfg.multiplier_range,
         factors,
     )
+    assert tied == ([1] if participants == 65536 else [])
     assert result.win_count.tolist() == wins
     assert result.active_time.tolist() == active

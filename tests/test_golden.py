@@ -36,11 +36,11 @@ def tree_digest(root: Path) -> str:
         (
             ["sweep", "--ci-scale", "--high-perf-id", "100",
              "--team-sizes", "1,2,4,5,8,10,16,20,32,40,80"],
-            "ceea35179a4cc10afd201af00074243308bc17f7ca980fc1117d5fa6e53ebc9e",
+            "9a6696f1879d2dcdbc2d2ce8a47fd49d6172b9723aa1a9857de85a7b0f5eeaa1",
         ),
         (
             ["run", "--paper-defaults", "--team-size", "8", "--rounds", "16", "--runs", "4", "--raw"],
-            "0d0fe768c35dd3e0fee6e6c5b9935a22989841949b1d61f33a446ac86a62436f",
+            "b3cabfcaf00f471d31ed61a0254d4f408acebc31a44d3ec8d03e51a3629e8141",
         ),
     ],
     ids=["ci_sweep", "paper_run_raw"],
