@@ -72,6 +72,21 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigurationError(message)
 
 
+class _VersionAction(argparse.Action):
+    """``--version``: prints ``potsim <version>`` and exits 0.
+
+    The version is looked up only when the flag is given, so no other
+    command pays for reading the package metadata.
+    """
+
+    def __init__(self, option_strings, dest, **kwargs):
+        super().__init__(option_strings, dest, nargs=0, default=argparse.SUPPRESS, **kwargs)
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        print(f"{parser.prog} {tool_version()}")
+        parser.exit()
+
+
 @dataclass(frozen=True)
 class CliInvocation:
     """A validated command invocation ready for main()."""
@@ -205,7 +220,9 @@ def _out_dir(flag: str | None) -> Path:
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="potsim", description=__doc__)
-    parser.add_argument("--version", action="version", version=f"%(prog)s {tool_version()}")
+    parser.add_argument(
+        "--version", action=_VersionAction, help="show program's version number and exit"
+    )
     sub = parser.add_subparsers(dest="subcommand", required=True, metavar="COMMAND")
 
     run = sub.add_parser("run", help="execute one scenario and write its summary")

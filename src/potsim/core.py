@@ -292,14 +292,22 @@ def execute_round(teams: np.ndarray, member_times: np.ndarray) -> np.ndarray:
     t of ``teams[r]``. A team's time is the sum down its column, added
     member by member, and the winner is the argmin, which also breaks the
     measure-zero ties toward the lowest index. Round r's winning members are
-    ``teams[r, :, winners[r]] - r * n``.
+    ``teams[r, :, winners[r]] - r * n``. A ``teams`` block whose last round
+    indexes past ``member_times`` raises ValueError.
     """
+    if len(teams) and teams[-1].max() >= member_times.size:
+        # A block's largest indices are in its last round; one past the
+        # times means ``teams`` and ``member_times`` are of different blocks.
+        raise ValueError(
+            f"teams of {len(teams)} rounds index past member times of shape "
+            f"{member_times.shape}: pass a whole form_teams block and its times"
+        )
     if teams.shape[1] == 1:
         # Single-member teams are ``form_teams``' identity: team t is
         # participant t, so the winner is the argmin of the times as they are.
         return member_times.argmin(axis=1)
     _, gathered, team_times = _block_scratch(len(member_times), *teams.shape[1:])
-    # Every index is in range by construction, so "clip" moves none; unlike
+    # Every index is in range, as checked above, so "clip" moves none; unlike
     # the default "raise", it writes into ``out`` without a temporary copy.
     member_times.take(teams, out=gathered, mode="clip")
     return np.add.reduce(gathered, axis=1, out=team_times).argmin(axis=1)
@@ -317,14 +325,15 @@ def run_simulation(
     spawned child stream, as the module docstring sets out.
     Identical (config, run_seed, factors) always reproduce the same result.
     """
+    seed = np.random.SeedSequence(run_seed)
     if factors is None:
-        factors = draw_performance_profile(config, np.random.default_rng(run_seed))
+        factors = draw_performance_profile(config, np.random.Generator(np.random.PCG64(seed)))
     elif len(factors) != config.participant_count:
         raise ConfigurationError(
             f"profile length {len(factors)} does not match "
             f"participant count {config.participant_count}"
         )
-    stream = np.random.default_rng(np.random.SeedSequence(run_seed).spawn(1)[0]).bit_generator
+    stream = np.random.PCG64(seed.spawn(1)[0])
 
     n = config.participant_count
     lo, hi = config.multiplier_range

@@ -9,7 +9,6 @@ its own stream and aggregation is keyed by run index.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from typing import Sequence
@@ -162,6 +161,10 @@ def execute_runs(config: ScenarioConfig, workers: int = 1) -> list[RunResult]:
     workers = min(workers, len(tasks), os.cpu_count() or 1)
     if workers <= 1:
         return [_run_task(task) for task in tasks]
+    # Imported here: the pool pulls in multiprocessing, socket and subprocess,
+    # which a serial command never needs.
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_run_task, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
 

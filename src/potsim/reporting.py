@@ -9,6 +9,7 @@ a delta report can print computed-vs-reference differences.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import os
 import time
@@ -80,7 +81,9 @@ SHAPE_TOLERANCES: dict[str, dict[str, tuple[float, float]]] = {
 }
 
 
+@functools.cache
 def tool_version() -> str:
+    """The installed potsim version; the metadata is read once per process."""
     try:
         from importlib.metadata import version
 

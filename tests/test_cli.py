@@ -3,6 +3,9 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import time
 import warnings
@@ -12,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import potsim
 from potsim import cli, experiments
 from potsim.cli import (
     PAPER_DEFAULTS,
@@ -22,6 +26,7 @@ from potsim.cli import (
 )
 from potsim.core import ConfigurationError
 from potsim.experiments import execute_runs
+from potsim.reporting import tool_version
 
 
 def read_tree(root: Path) -> dict[str, bytes]:
@@ -488,6 +493,35 @@ def test_threads_do_not_change_output_files(tmp_path, monkeypatch):
     assert entrypoint(base + ["--threads", "1", "--out", str(single)]) == 0
     assert entrypoint(base + ["--threads", "8", "--out", str(pooled)]) == 0
     assert read_tree(single) == read_tree(pooled)
+
+
+def run_python(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run ``python -c code args`` in a fresh interpreter that imports this potsim."""
+    env = dict(os.environ, PYTHONPATH=str(Path(potsim.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, check=False
+    )
+
+
+@pytest.mark.parametrize(
+    "command", [["run", "--ci-scale"], ["sweep", "--ci-scale", "--team-sizes", "1,2,4"]]
+)
+def test_serial_command_start_up_loads_no_pool_or_metadata(tmp_path, command):
+    # Only --threads > 1 pays for the process pool, and only --version and
+    # manifest.json for the package metadata.
+    code = (
+        "import sys; from potsim.cli import parse_and_validate; "
+        "parse_and_validate(sys.argv[1:]); "
+        "print(sorted({'concurrent.futures', 'multiprocessing', 'importlib.metadata'}"
+        " & set(sys.modules)))"
+    )
+    done = run_python(code, *command, "--threads", "1", "--out", str(tmp_path))
+    assert (done.returncode, done.stderr, done.stdout) == (0, "", "[]\n")
+
+
+def test_version_prints_one_line_and_exits_0():
+    done = run_python("from potsim.cli import entrypoint; entrypoint(['--version'])")
+    assert (done.returncode, done.stderr, done.stdout) == (0, "", f"potsim {tool_version()}\n")
 
 
 def test_main_requires_validated_invocation(tmp_path):

@@ -339,6 +339,18 @@ def test_block_winners_match_one_round_blocks(team_size):
     assert winners.tolist() == one_by_one
 
 
+def test_execute_round_rejects_teams_of_another_block():
+    # A slice of a block's teams keeps the block's flat indices: round 2 of a
+    # 3-round block of 8 indexes 16..23, past its one row of times. Gathered
+    # with "clip", it read winner 0 where the round's winner is 3.
+    teams = form_teams(raw_words(5, 3, 8), 2)
+    member_times = np.random.default_rng(6).uniform(50.0, 150.0, (3, 8))
+    assert execute_round(teams, member_times)[2] == 3
+    with pytest.raises(ValueError, match="index past member times"):
+        execute_round(teams[2:3], member_times[2:3])
+    assert execute_round(teams[2:3] - 16, member_times[2:3]).tolist() == [3]
+
+
 @pytest.mark.parametrize(
     "participants, team_size, rounds",
     [(160, 8, 0), (160, 8, 1), (160, 8, 250), (1600, 1, 25), (1, 1, 2**14 + 1)],

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import concurrent.futures
 import math
 import warnings
 from dataclasses import astuple
@@ -161,7 +162,7 @@ def serial_pool(monkeypatch):
             calls.append((self.size, chunksize))
             return map(fn, tasks)
 
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     return calls
 
 
