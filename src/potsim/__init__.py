@@ -1,5 +1,7 @@
 """Deterministic team-sprint consensus simulator with table reporting."""
 
+__version__ = "0.1.0"
+
 from .core import ScenarioConfig
 from .experiments import execute_runs, execute_scenario
 from .metrics import distribution_stats, excess_kurtosis, pearson_correlation, skewness

@@ -18,6 +18,7 @@ from contextlib import ExitStack
 from dataclasses import dataclass
 from pathlib import Path
 
+from . import __version__
 from .core import DEFAULT_MASTER_SEED, ConfigurationError, ScenarioConfig
 from .experiments import (
     Condition,
@@ -35,7 +36,6 @@ from .reporting import (
     load_bundle,
     render_delta_report,
     summary_label,
-    tool_version,
     write_bundle,
     write_files,
     write_runs_csv,
@@ -70,21 +70,6 @@ PAPER_TEAM_SIZES = (1, 2, 4, 8, 16, 32, 64)
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # noqa: D102 - argparse hook
         raise ConfigurationError(message)
-
-
-class _VersionAction(argparse.Action):
-    """``--version``: prints ``potsim <version>`` and exits 0.
-
-    The version is looked up only when the flag is given, so no other
-    command pays for reading the package metadata.
-    """
-
-    def __init__(self, option_strings, dest, **kwargs):
-        super().__init__(option_strings, dest, nargs=0, default=argparse.SUPPRESS, **kwargs)
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        print(f"{parser.prog} {tool_version()}")
-        parser.exit()
 
 
 @dataclass(frozen=True)
@@ -220,9 +205,7 @@ def _out_dir(flag: str | None) -> Path:
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="potsim", description=__doc__)
-    parser.add_argument(
-        "--version", action=_VersionAction, help="show program's version number and exit"
-    )
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True, metavar="COMMAND")
 
     run = sub.add_parser("run", help="execute one scenario and write its summary")

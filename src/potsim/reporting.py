@@ -9,14 +9,15 @@ a delta report can print computed-vs-reference differences.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import json
+import math
 import os
 import time
 from contextlib import ExitStack, contextmanager
 from pathlib import Path
 from typing import IO, Iterator, Sequence
 
+from . import __version__
 from .core import ConfigurationError, RunResult, ScenarioConfig
 from .experiments import Condition, ScenarioSummary
 from .metrics import RANKING_BUCKETS, DistStats, ShapeStats
@@ -79,17 +80,6 @@ SHAPE_TOLERANCES: dict[str, dict[str, tuple[float, float]]] = {
     "PoW": {"skewness": (6.846, 0.20 * 6.846), "excess_kurtosis": (51.47, 0.30 * 51.47)},
     "PoTS (64)": {"skewness": (0.0, 0.1), "excess_kurtosis": (-0.66, 0.2)},
 }
-
-
-@functools.cache
-def tool_version() -> str:
-    """The installed potsim version; the metadata is read once per process."""
-    try:
-        from importlib.metadata import version
-
-        return version(TOOL_NAME)
-    except Exception:
-        return "0.0.0+unknown"
 
 
 def scenario_label(team_size: int) -> str:
@@ -234,7 +224,7 @@ def render_delta_report(tables: Sequence[dict]) -> str:
                     continue
                 ref = reference[metric]
                 delta = computed - ref
-                if ref != 0:
+                if ref != 0 and not math.isnan(delta):
                     rel = f"{abs(delta) / abs(ref):.1%}"
                 else:
                     rel = "0.0%" if delta == 0 else "n/a"
@@ -264,7 +254,10 @@ def summary_to_dict(summary: ScenarioSummary) -> dict:
 
 
 def _number(data: dict, key: str) -> float:
+    """The number under ``key``; ``null``, which ``json_bytes`` writes for NaN, reads as NaN."""
     value = data[key]
+    if value is None:
+        return math.nan
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError(f"key {key!r} must be a number, got {value!r}")
     return float(value)
@@ -334,8 +327,19 @@ def atomic_writer(path: Path) -> Iterator[IO[bytes]]:
         raise
 
 
+def _null_for_nan(value):
+    if isinstance(value, float) and math.isnan(value):
+        return None
+    if isinstance(value, dict):
+        return {key: _null_for_nan(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_null_for_nan(item) for item in value]
+    return value
+
+
 def json_bytes(payload: dict) -> bytes:
-    return (json.dumps(payload, indent=2) + "\n").encode("utf-8")
+    """Standard JSON: an undefined statistic (NaN) is written as ``null``."""
+    return (json.dumps(_null_for_nan(payload), indent=2, allow_nan=False) + "\n").encode("utf-8")
 
 
 def write_files(files: Sequence[tuple[Path, bytes]]) -> None:
@@ -375,7 +379,7 @@ def write_bundle(
     }
     manifest = {
         "tool": TOOL_NAME,
-        "version": tool_version(),
+        "version": __version__,
         "created_utc": emission_timestamp(),
         "kind": kind,
         "base_config": dataclasses.asdict(base_config),

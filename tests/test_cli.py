@@ -3,6 +3,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -26,7 +27,7 @@ from potsim.cli import (
 )
 from potsim.core import ConfigurationError
 from potsim.experiments import execute_runs
-from potsim.reporting import tool_version
+from potsim.reporting import load_bundle
 
 
 def read_tree(root: Path) -> dict[str, bytes]:
@@ -338,9 +339,13 @@ def _drop(key):
     return edit
 
 
-def _null_mean(summary):
-    summary["reward_stats"]["mean"] = None
-    return summary
+def _mean(value):
+    # null is not here: it is how an undefined statistic (NaN) is written.
+    def edit(summary):
+        summary["reward_stats"]["mean"] = value
+        return summary
+
+    return edit
 
 
 def _empty_summaries(manifest):
@@ -382,7 +387,8 @@ BAD_BUNDLES = [
     ("manifest", _drop("summaries"), "missing key 'summaries'"),
     ("manifest", _number_name, "key 'summaries' must be a list of file names"),
     ("summary", lambda summary: [summary], "expected a JSON object, got list"),
-    ("summary", _null_mean, "key 'mean' must be a number, got None"),
+    ("summary", _mean("10.0"), "key 'mean' must be a number, got '10.0'"),
+    ("summary", _mean(True), "key 'mean' must be a number, got True"),
     ("ranking", _rank_count("1", 2.7), "key '1' must be a non-negative integer, got 2.7"),
     ("ranking", _rank_count("2", "1"), "key '2' must be a non-negative integer, got '1'"),
     ("ranking", _rank_count("3", True), "key '3' must be a non-negative integer, got True"),
@@ -400,8 +406,8 @@ BAD_BUNDLES = [
     "target, edit, message",
     BAD_BUNDLES,
     ids=["missing_summary_key", "missing_manifest_summaries", "non_string_name", "non_object_json",
-         "non_number_value", "fractional_rank_count", "string_rank_count", "bool_rank_count",
-         "fractional_override_id", "string_override_id", "empty_summaries",
+         "non_number_value", "bool_value", "fractional_rank_count", "string_rank_count",
+         "bool_rank_count", "fractional_override_id", "string_override_id", "empty_summaries",
          "missing_config_field", "missing_base_config_field", "missing_manifest_kind"],
 )
 def test_malformed_bundle_exits_2_with_one_line(tmp_path, capsys, target, edit, message):
@@ -504,24 +510,61 @@ def run_python(code: str, *args: str) -> subprocess.CompletedProcess:
 
 
 @pytest.mark.parametrize(
-    "command", [["run", "--ci-scale"], ["sweep", "--ci-scale", "--team-sizes", "1,2,4"]]
+    "call, command",
+    [
+        ("parse_and_validate", ["run", "--ci-scale"]),
+        ("parse_and_validate", ["sweep", "--ci-scale", "--team-sizes", "1,2,4"]),
+        ("entrypoint", ["run", "--ci-scale", "--runs", "2"]),
+    ],
+    ids=["parse_run", "parse_sweep", "whole_run"],
 )
-def test_serial_command_start_up_loads_no_pool_or_metadata(tmp_path, command):
-    # Only --threads > 1 pays for the process pool, and only --version and
-    # manifest.json for the package metadata.
+def test_serial_command_start_up_loads_no_pool_or_metadata(tmp_path, call, command):
+    # Only --threads > 1 pays for the process pool. Nothing reads the package
+    # metadata, not even a whole run's manifest write.
     code = (
-        "import sys; from potsim.cli import parse_and_validate; "
-        "parse_and_validate(sys.argv[1:]); "
-        "print(sorted({'concurrent.futures', 'multiprocessing', 'importlib.metadata'}"
+        f"import sys; from potsim.cli import {call}; {call}(sys.argv[1:]); "
+        "print(sorted({'concurrent.futures', 'multiprocessing', 'importlib.metadata', 'email'}"
         " & set(sys.modules)))"
     )
     done = run_python(code, *command, "--threads", "1", "--out", str(tmp_path))
-    assert (done.returncode, done.stderr, done.stdout) == (0, "", "[]\n")
+    assert (done.returncode, done.stderr, done.stdout.splitlines()[-1]) == (0, "", "[]")
+    if call == "entrypoint":
+        manifest = json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))
+        assert manifest["version"] == potsim.__version__
 
 
 def test_version_prints_one_line_and_exits_0():
     done = run_python("from potsim.cli import entrypoint; entrypoint(['--version'])")
-    assert (done.returncode, done.stderr, done.stdout) == (0, "", f"potsim {tool_version()}\n")
+    assert (done.returncode, done.stderr, done.stdout) == (0, "", f"potsim {potsim.__version__}\n")
+
+
+def _strict_json(path: Path):
+    def reject(token):
+        raise ValueError(f"{path} holds the non-standard JSON constant {token}")
+
+    return json.loads(path.read_text(encoding="utf-8"), parse_constant=reject)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--team-size", "160", "--runs", "2", "--rounds", "10"], ["--rounds", "0"]],
+    ids=["one_team", "zero_rounds"],
+)
+def test_undefined_statistics_are_written_as_null(tmp_path, argv):
+    # Zero reward variance leaves skewness, excess kurtosis and correlation undefined.
+    assert entrypoint(["run", "--ci-scale", *argv, "--out", str(tmp_path)]) == 0
+    assert entrypoint(["report", "--from", str(tmp_path)]) == 0
+    documents = {
+        path.relative_to(tmp_path).as_posix(): _strict_json(path)
+        for path in sorted(tmp_path.rglob("*.json"))
+    }
+    (summary_name,) = (name for name in documents if name.startswith("summaries/"))
+    assert documents[summary_name]["correlation"] is None
+    assert documents[summary_name]["shape_stats"] == {"skewness": None, "excess_kurtosis": None}
+    assert documents["tables/correlation.json"]["rows"][0]["correlation"] is None
+    assert documents["tables/shape.json"]["rows"][0]["skewness"] is None
+    (summary,) = load_bundle(tmp_path)
+    assert math.isnan(summary.correlation) and math.isnan(summary.shape_stats.skewness)
 
 
 def test_main_requires_validated_invocation(tmp_path):

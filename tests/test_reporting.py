@@ -301,6 +301,19 @@ def test_delta_report_mentions_flags_and_references():
     assert "ref" in text
 
 
+def test_delta_report_marks_undefined_rows_n_a():
+    # Zero rounds leave the shape statistics undefined: the delta is NaN and
+    # its relative column reads n/a, as for a zero reference.
+    cfg = ScenarioConfig(participant_count=4, team_size=1, rounds=0, runs=1)
+    summary = summarize_runs(cfg, execute_runs(cfg))
+    text = render_delta_report([emit_table([summary], "shape")])
+    rows = [line.split() for line in text.splitlines() if line.startswith("  PoW")]
+    assert [row[1:3] + row[-2:] for row in rows] == [
+        ["skewness", "nan", "+nan", "(n/a)"],
+        ["excess_kurtosis", "nan", "+nan", "(n/a)"],
+    ]
+
+
 # -- serialization -----------------------------------------------------------------
 
 
