@@ -150,7 +150,7 @@ class ScenarioConfig:
             f"participant count {n} is not divisible by team size {self.team_size}",
         )
         _require(self.rounds >= 0, f"rounds must be non-negative, got {self.rounds}")
-        _require(self.runs >= 0, f"runs must be non-negative, got {self.runs}")
+        _require(self.runs >= 1, f"runs must be positive, got {self.runs}")
         _require(self.base_time > 0, f"base_time must be positive, got {self.base_time}")
         _require(
             self.reward_per_round > 0,

@@ -6,7 +6,7 @@ a CSV write pays for compiling it and for building its lookup tables.
 
 from __future__ import annotations
 
-from typing import IO, Iterator, Sequence
+from typing import IO, Sequence
 
 import numpy as np
 
@@ -152,42 +152,26 @@ def _csv_rows(fields: Sequence[np.ndarray]) -> bytes:
     return table[table != 0].tobytes()
 
 
-def _csv_groups(runs: Sequence[RunResult]) -> Iterator[tuple[int, Sequence[RunResult]]]:
-    """(first run id, runs) of consecutive runs of one population, at most a block of rows.
-
-    A run longer than a block is a group of its own.
-    """
-    first = 0
-    while first < len(runs):
-        n = len(runs[first].cumulative_reward)
-        stop = first + 1
-        while (
-            stop < len(runs)
-            and (stop + 1 - first) * n <= CSV_BLOCK_ROWS
-            and len(runs[stop].cumulative_reward) == n
-        ):
-            stop += 1
-        yield first, runs[first:stop]
-        first = stop
-
-
 def write_rows(runs: Sequence[RunResult], destination: IO[bytes]) -> int:
-    """Write the CSV rows of several runs, run_id set by position; returns the row count.
+    """Write the CSV rows of runs of one population, run_id set by position; returns the row count.
 
-    Consecutive runs of one population are stacked into groups of at most
-    ``CSV_BLOCK_ROWS`` rows and ranked in one ``competition_ranks`` call; a
-    longer run is written in several blocks. Each block is one (rows, width)
-    byte table with every field in a slot of fixed width, padded with NUL,
-    and is written with the NULs dropped. Integers come from digit tables
-    (participant ids and ranks from one table per population), reals from
-    ``format_g6``.
+    The runs are stacked into groups of at most ``CSV_BLOCK_ROWS`` rows, and
+    each group is ranked in one ``competition_ranks`` call; a run longer than
+    a block is a group of its own, written in several blocks. Each block is
+    one (rows, width) byte table with every field in a slot of fixed width,
+    padded with NUL, and is written with the NULs dropped. Integers come
+    from digit tables (participant ids and ranks from one table of 0..n),
+    reals from ``format_g6``. Runs that differ in population raise
+    ``ValueError``.
     """
-    total = 0
-    ids = np.empty((0, 0), dtype=np.uint8)
-    for first, group in _csv_groups(runs):
-        n = len(group[0].cumulative_reward)
-        if len(ids) != n + 1:  # digits of 0..n: participant ids and ranks
-            ids = _decimal_digits(np.arange(n + 1))
+    populations = {len(run.cumulative_reward) for run in runs}
+    if len(populations) > 1:
+        raise ValueError(f"runs.csv takes runs of one population, got {sorted(populations)}")
+    n = max(populations, default=1)
+    ids = _decimal_digits(np.arange(n + 1))  # digits of 0..n: participant ids and ranks
+    group_runs = max(1, CSV_BLOCK_ROWS // n)
+    for first in range(0, len(runs), group_runs):
+        group = runs[first : first + group_runs]
         rewards = np.array([run.cumulative_reward for run in group])
         ranks = competition_ranks(rewards).ravel()
         rewards = rewards.ravel()
@@ -209,5 +193,4 @@ def write_rows(runs: Sequence[RunResult], destination: IO[bytes]) -> int:
                 ids.take(ranks[block], axis=0),
             )
             destination.write(_csv_rows(fields))
-        total += len(rewards)
-    return total
+    return n * len(runs)

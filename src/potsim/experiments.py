@@ -90,9 +90,6 @@ class SweepSpec:
             raise ConfigurationError(f"sweep team sizes repeat: {list(self.team_sizes)}")
         if len(set(self.conditions)) != len(self.conditions):
             raise ConfigurationError(f"sweep conditions repeat: {','.join(self.conditions)}")
-        # Seed derivation rejects a negative team size with a plain ValueError.
-        if min(self.team_sizes) < 1:
-            raise ConfigurationError(f"sweep team sizes must be positive: {list(self.team_sizes)}")
         if Condition.HIGH_PERF in self.conditions and (
             self.base_config.high_perf_override is None
         ):
@@ -214,14 +211,10 @@ def summarize_runs(config: ScenarioConfig, runs: Sequence[RunResult]) -> Scenari
     """Average per-run statistics into a ScenarioSummary.
 
     The statistics sit in one (statistic, run) table, and each summary value
-    is the mean of its row. Zero runs is legal and yields an all-NaN summary
-    (all-zero ranking).
+    is the mean of its row.
     """
     table, ranking = _statistics_table(config, runs)
-    # sum / count is numpy's mean, without its warning on zero runs. Each row
-    # is contiguous, so it adds in the order np.mean adds a list of its values.
-    with np.errstate(invalid="ignore"):
-        means = (table.sum(axis=1) / len(runs)).tolist()
+    means = table.mean(axis=1).tolist()
     return ScenarioSummary(
         config_echo=config,
         reward_stats=DistStats(*means[:7]),
@@ -244,15 +237,16 @@ def scenario_config(
 
     The scenario master seed is a pure function of (base seed, team size,
     condition), so scenarios are mutually independent and insensitive to
-    sweep ordering.
+    sweep ordering. ``ScenarioConfig`` checks the entry before its seed is
+    derived, since the derivation rejects a negative team size with a plain
+    ``ValueError``.
     """
+    override = base.high_perf_override if condition is Condition.HIGH_PERF else None
+    config = replace(base, team_size=team_size, high_perf_override=override)
     seed = derive_run_seed(
         derive_run_seed(base.master_seed, team_size), _CONDITION_ORDINAL[condition]
     )
-    override = base.high_perf_override if condition is Condition.HIGH_PERF else None
-    return replace(
-        base, team_size=team_size, high_perf_override=override, master_seed=seed
-    )
+    return replace(config, master_seed=seed)
 
 
 def sweep_team_sizes(spec: SweepSpec, workers: int = 1) -> list[ScenarioSummary]:

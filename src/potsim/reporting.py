@@ -113,12 +113,12 @@ def emission_timestamp() -> str:
 
 
 def write_runs_csv(runs: Sequence[RunResult], destination: IO[bytes]) -> int:
-    """Write several runs into one CSV, run_id column set by position.
+    """Write runs of one population into one CSV, run_id column set by position.
 
-    Returns the number of rows. The rows are built in numpy by
-    ``csvrows.write_rows``, a block of runs at a time; its ``format_g6``
-    equals ``format(x, ".6g")`` for every float, so the bytes are those of a
-    row-by-row ``format`` writer.
+    Returns the number of rows; runs that differ in population raise
+    ``ValueError``. The rows are built in numpy by ``csvrows.write_rows``, a
+    block of runs at a time; its ``format_g6`` equals ``format(x, ".6g")``
+    for every float, so the bytes are those of a row-by-row ``format`` writer.
     """
     # Imported here, so that only a CSV write compiles the formatter and builds its tables.
     from .csvrows import write_rows
@@ -148,7 +148,7 @@ def _select_summaries(summaries: Sequence[ScenarioSummary], which: str) -> list[
 
 def _shape_flag(label: str, metric: str, computed: float) -> bool | None:
     spec = SHAPE_TOLERANCES.get(label, {}).get(metric)
-    if spec is None:
+    if spec is None or math.isnan(computed):
         return None
     center, band = spec
     return abs(computed - center) > band

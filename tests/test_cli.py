@@ -577,6 +577,7 @@ BAD_CONFIG_FILES = [
     {"team_size": 2.0},
     {"rounds": 2.5},
     {"runs": 2.0},
+    {"runs": 0},
     {"high_perf_override": [1000.0, 2.5]},
     {"master_seed": True},
     {"base_time": "600"},
@@ -596,6 +597,7 @@ BAD_SWEEP_FLAGS = [
     ["--team-sizes", "2,2"],
     ["--team-sizes=-4"],
     ["--team-sizes=0"],
+    ["--runs", "0"],
     ["--conditions", "homogeneous,homogeneous"],
 ]
 

@@ -60,8 +60,10 @@ def test_config_rejects_override_out_of_range():
 
 
 def test_config_allows_degenerate_rounds_and_runs():
+    # Zero rounds is a scenario with undefined shape statistics; zero runs is none.
     assert config(rounds=0).rounds == 0
-    assert config(runs=0).runs == 0
+    with pytest.raises(ConfigurationError, match="runs must be positive"):
+        config(runs=0)
 
 
 def test_config_stores_pairs_as_tuples():

@@ -2,8 +2,6 @@ from __future__ import annotations
 
 import concurrent.futures
 import math
-import warnings
-from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -71,17 +69,11 @@ def test_degenerate_scenario():
     assert math.isnan(summary.correlation)
 
 
-def test_zero_runs_is_legal():
-    cfg = ScenarioConfig(participant_count=12, team_size=3, rounds=5, runs=0,
-                         high_perf_override=(2, 2.5))
-    assert execute_runs(cfg) == []
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        summary = execute_scenario(cfg)
-    values = [*astuple(summary.reward_stats), *astuple(summary.shape_stats),
-              summary.correlation, summary.total_active_time_mean]
-    assert len(values) == 11 and all(math.isnan(v) for v in values)
-    assert sum(summary.ranking.values()) == 0
+def test_zero_runs_is_rejected():
+    # A scenario has at least one run, so no summary averages over none.
+    with pytest.raises(ConfigurationError, match="runs must be positive, got 0"):
+        ScenarioConfig(participant_count=12, team_size=3, rounds=5, runs=0,
+                       high_perf_override=(2, 2.5))
 
 
 def test_mean_reward_is_exact(ci_config):
@@ -215,7 +207,7 @@ STATISTIC_NAMES = (
 
 
 @pytest.mark.parametrize(
-    "participants, runs", [(160, 0), (160, 20), (1600, 10), (1600, 11), (1600, 25)]
+    "participants, runs", [(160, 1), (160, 20), (1600, 10), (1600, 11), (1600, 25)]
 )
 def test_summarize_calls_each_statistic_once_per_chunk(monkeypatch, participants, runs):
     calls = dict.fromkeys(STATISTIC_NAMES, 0)

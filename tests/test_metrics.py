@@ -385,7 +385,7 @@ def table_scenarios(draw):
         participant_count=participants,
         team_size=draw(st.sampled_from(divisors)),
         rounds=draw(st.integers(0, 12)),
-        runs=draw(st.integers(0, 40)),
+        runs=draw(st.integers(1, 40)),
         perf_range=(lo, draw(st.sampled_from([lo, 1.5]))),
         high_perf_override=override,
         redraw_profile_per_run=draw(st.booleans()),

@@ -144,16 +144,14 @@ def test_runs_csv_matches_row_oracle(overrides):
     assert sink.getvalue() == oracles.csv_rows_oracle(runs)
 
 
-def test_runs_csv_of_mixed_populations_matches_row_oracle():
-    # Consecutive runs of one population share a block; a new population starts one.
+def test_runs_csv_rejects_runs_of_two_populations():
+    # execute_runs gives runs of one population; the writer stacks only those.
     small, other = (
         execute_runs(ScenarioConfig(participant_count=n, team_size=2, rounds=5, runs=3, master_seed=n))
         for n in (8, 6)
     )
-    runs = small + other + small[:1]
-    sink = io.BytesIO()
-    assert write_runs_csv(runs, sink) == 3 * 8 + 3 * 6 + 8
-    assert sink.getvalue() == oracles.csv_rows_oracle(runs)
+    with pytest.raises(ValueError, match="one population"):
+        write_runs_csv(small + other, io.BytesIO())
 
 
 def test_runs_csv_memory_is_bounded_by_its_block():
@@ -285,6 +283,15 @@ def test_shape_table_flags_out_of_tolerance_rows():
     assert row["scenario"] == "PoW"
     assert "flagged" in row
     assert row["flagged"]["skewness"] is True
+
+
+def test_shape_table_leaves_undefined_statistics_unflagged():
+    # Zero rounds leave every reward equal, so skewness and kurtosis are NaN.
+    base = ScenarioConfig(participant_count=32, team_size=1, rounds=0, runs=2)
+    summaries = sweep_team_sizes(SweepSpec(base_config=base, team_sizes=(1,)))
+    row = emit_table(summaries, "shape")["rows"][0]
+    assert row["scenario"] == "PoW" and math.isnan(row["skewness"])
+    assert "flagged" not in row
 
 
 def test_pow_shape_bands_center_on_the_reference():
