@@ -2,10 +2,11 @@
 
 Configuration precedence, lowest to highest: built-in defaults, config file
 (flat JSON object with ScenarioConfig field names), presets
-(--paper-defaults, --ci-scale), then individual flags. Exit codes: 0 on
-success, 1 on a bad flag, config or table request (one ConfigurationError
-line), 2 on a runtime failure (an unreadable or malformed bundle, a failed
-write, out of memory).
+(--paper-defaults, --ci-scale), then individual flags. --high-perf-id and
+--high-perf-factor keep the other half of an override set below them, else
+of (1000, 2.5). Exit codes: 0 on success, 1 on a bad flag, config or table
+request (one ConfigurationError line), 2 on a runtime failure (an unreadable
+or malformed bundle, a failed write, out of memory).
 """
 
 from __future__ import annotations
@@ -15,11 +16,11 @@ import json
 import os
 import sys
 from contextlib import ExitStack
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import __version__
-from .core import DEFAULT_MASTER_SEED, ConfigurationError, ScenarioConfig
+from .core import ConfigurationError, ScenarioConfig
 from .experiments import (
     Condition,
     SweepSpec,
@@ -44,22 +45,13 @@ from .reporting import (
 OUT_DIR_ENV = "POTSIM_OUT"
 DEFAULT_OUT_DIR = "potsim_out"
 
-# Reference experiment parameterization: 1600 participants racing 1600
-# rounds of 600 s base time for a reward of 10, repeated over 100 runs,
-# factors uniform on [0.8, 1.5], multipliers on [0.8, 1.2].
-PAPER_DEFAULTS = {
-    "participant_count": 1600,
-    "team_size": 1,
-    "rounds": 1600,
-    "runs": 100,
-    "base_time": 600.0,
-    "reward_per_round": 10.0,
-    "perf_range": (0.8, 1.5),
-    "multiplier_range": (0.8, 1.2),
-    "high_perf_override": (1000, 2.5),
-    "master_seed": DEFAULT_MASTER_SEED,
-    "redraw_profile_per_run": True,
-}
+# Reference experiment parameterization: ScenarioConfig's defaults, run at
+# 1600 participants x 1600 rounds x 100 runs with node 1000 pinned at 2.5.
+PAPER_DEFAULTS = asdict(
+    ScenarioConfig(
+        participant_count=1600, team_size=1, rounds=1600, runs=100, high_perf_override=(1000, 2.5)
+    )
+)
 
 # Small preset for fast property checks; preserves invariants, not magnitudes.
 CI_SCALE = {"participant_count": 160, "rounds": 160, "runs": 20}
@@ -96,11 +88,27 @@ def _parse_pair(text: str, flag: str) -> tuple[float, float]:
         raise ConfigurationError(f"{flag} expects two numbers, got {text!r}") from exc
 
 
-def _parse_int_list(text: str, flag: str) -> tuple[int, ...]:
+def _parse_list(text: str, flag: str, parse, entries: str) -> tuple:
     try:
-        return tuple(int(part) for part in text.split(",") if part != "")
+        return tuple(parse(part) for part in text.split(",") if part != "")
     except ValueError as exc:
-        raise ConfigurationError(f"{flag} expects a comma-separated integer list: {exc}") from exc
+        raise ConfigurationError(f"{flag} expects a comma-separated {entries} list: {exc}") from exc
+
+
+# Each flag that sets one ScenarioConfig field: flag, field, type, metavar.
+# A LO,HI pair is parsed after argparse, so that its message names the flag.
+_FIELD_FLAGS = (
+    ("--participants", "participant_count", int, "N"),
+    ("--team-size", "team_size", int, "N"),
+    ("--rounds", "rounds", int, "R"),
+    ("--runs", "runs", int, "K"),
+    ("--base-time", "base_time", float, "SECONDS"),
+    ("--reward", "reward_per_round", float, "UNITS"),
+    ("--perf-range", "perf_range", _parse_pair, "LO,HI"),
+    ("--mult-range", "multiplier_range", _parse_pair, "LO,HI"),
+    ("--seed", "master_seed", int, "S"),
+)
+_SIZES = "{participant_count} participants, {rounds} rounds, {runs} runs"
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -108,26 +116,20 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--paper-defaults",
         action="store_true",
-        help="load the reference experiment parameterization "
-        "(1600 participants, 1600 rounds, 100 runs, override id 1000 factor 2.5)",
+        help="load the reference experiment parameterization ({}, override id {} factor {})".format(
+            _SIZES.format_map(PAPER_DEFAULTS), *PAPER_DEFAULTS["high_perf_override"]
+        ),
     )
     parser.add_argument(
         "--ci-scale",
         action="store_true",
-        help="small preset (160 participants, 160 rounds, 20 runs) for fast checks; "
+        help=f"small preset ({_SIZES.format_map(CI_SCALE)}) for fast checks; "
         "preserves invariants, not reference magnitudes",
     )
-    parser.add_argument("--participants", type=int, metavar="N")
-    parser.add_argument("--team-size", type=int, metavar="N")
-    parser.add_argument("--rounds", type=int, metavar="R")
-    parser.add_argument("--runs", type=int, metavar="K")
-    parser.add_argument("--base-time", type=float, metavar="SECONDS")
-    parser.add_argument("--reward", type=float, metavar="UNITS")
-    parser.add_argument("--perf-range", metavar="LO,HI")
-    parser.add_argument("--mult-range", metavar="LO,HI")
-    parser.add_argument(
-        "--seed", type=int, metavar="S", help=f"master seed (default {DEFAULT_MASTER_SEED})"
-    )
+    for flag, field, kind, metavar in _FIELD_FLAGS:
+        kind = None if kind is _parse_pair else kind
+        seed = f"master seed (default {PAPER_DEFAULTS[field]})" if flag == "--seed" else None
+        parser.add_argument(flag, dest=field, type=kind, metavar=metavar, help=seed)
     group = parser.add_mutually_exclusive_group()
     group.add_argument(
         "--homogeneous",
@@ -154,8 +156,7 @@ def _load_config_file(path: str) -> dict:
         raise ConfigurationError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigurationError(f"config file {path} must hold a JSON object")
-    allowed = set(PAPER_DEFAULTS)
-    unknown = set(data) - allowed
+    unknown = set(data) - set(PAPER_DEFAULTS)
     if unknown:
         raise ConfigurationError(f"config file {path} has unknown keys: {sorted(unknown)}")
     return data
@@ -169,32 +170,21 @@ def _effective_config(args: argparse.Namespace) -> ScenarioConfig:
         fields.update(PAPER_DEFAULTS)
     if args.ci_scale:
         fields.update(CI_SCALE)
-
-    overrides = {
-        "participant_count": args.participants,
-        "team_size": args.team_size,
-        "rounds": args.rounds,
-        "runs": args.runs,
-        "base_time": args.base_time,
-        "reward_per_round": args.reward,
-        "master_seed": args.seed,
-    }
-    fields.update({k: v for k, v in overrides.items() if v is not None})
-    if args.perf_range is not None:
-        fields["perf_range"] = _parse_pair(args.perf_range, "--perf-range")
-    if args.mult_range is not None:
-        fields["multiplier_range"] = _parse_pair(args.mult_range, "--mult-range")
-    if args.high_perf_id is not None or args.high_perf_factor is not None:
-        pid, factor = PAPER_DEFAULTS["high_perf_override"]
-        fields["high_perf_override"] = (
-            pid if args.high_perf_id is None else args.high_perf_id,
-            factor if args.high_perf_factor is None else args.high_perf_factor,
-        )
+    for flag, field, kind, _ in _FIELD_FLAGS:
+        value = getattr(args, field)
+        if value is not None:
+            fields[field] = _parse_pair(value, flag) if kind is _parse_pair else value
+    # A high-perf flag keeps the other half of the override merged below it;
+    # anything but a pair there is left for ScenarioConfig to reject.
+    halves = (args.high_perf_id, args.high_perf_factor)
+    below = fields["high_perf_override"]
+    below = PAPER_DEFAULTS["high_perf_override"] if below is None else below
+    if halves != (None, None) and isinstance(below, (list, tuple)) and len(below) == 2:
+        fields["high_perf_override"] = tuple(b if f is None else f for b, f in zip(below, halves))
     if args.homogeneous:
         fields["high_perf_override"] = None
     if args.shared_profile:
         fields["redraw_profile_per_run"] = False
-
     return ScenarioConfig(**fields)
 
 
@@ -269,16 +259,9 @@ def parse_and_validate(arguments: list[str]) -> CliInvocation:
             raw=args.raw,
         )
 
-    team_sizes = _parse_int_list(args.team_sizes, "--team-sizes")
+    team_sizes = _parse_list(args.team_sizes, "--team-sizes", int, "integer")
     if args.conditions is not None:
-        names = [part for part in args.conditions.split(",") if part != ""]
-        try:
-            conditions = tuple(Condition(name) for name in names)
-        except ValueError as exc:
-            raise ConfigurationError(
-                f"--conditions entries must be one of "
-                f"{[c.value for c in Condition]}: {exc}"
-            ) from exc
+        conditions = _parse_list(args.conditions, "--conditions", Condition, " or ".join(Condition))
     elif config.high_perf_override is not None:
         conditions = (Condition.HOMOGENEOUS, Condition.HIGH_PERF)
     else:

@@ -61,8 +61,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_MASTER_SEED = 42
-
 
 class ConfigurationError(ValueError):
     """A scenario configuration violates one of its invariants."""
@@ -95,7 +93,7 @@ class ScenarioConfig:
     perf_range: tuple[float, float] = (0.8, 1.5)
     multiplier_range: tuple[float, float] = (0.8, 1.2)
     high_perf_override: tuple[int, float] | None = None
-    master_seed: int = DEFAULT_MASTER_SEED
+    master_seed: int = 42
     redraw_profile_per_run: bool = True
 
     def __post_init__(self) -> None:

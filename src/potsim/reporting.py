@@ -408,6 +408,10 @@ def _summary_names(data: dict) -> list[str]:
         raise TypeError(f"key 'summaries' must be a list of file names, got {names!r}")
     if not names:
         raise ValueError("key 'summaries' lists no summary files")
+    # A name with a path part would read a file outside summaries/.
+    plain = all(name not in ("", "..") and Path(name).name == name for name in names)
+    if not plain or len(set(names)) < len(names):
+        raise ValueError(f"key 'summaries' must list plain, unique file names, got {names!r}")
     # Read only to check them: a manifest without these fields is malformed.
     _ = data["kind"], _config(data, "base_config"), data["created_utc"], data["version"]
     return names

@@ -129,6 +129,14 @@ def test_non_utf8_config_exits_1_with_one_line(tmp_path, capsys):
     assert len(err.splitlines()) == 1 and "is not valid JSON" in err
 
 
+def test_json_array_config_exits_1_with_one_line(tmp_path, capsys):
+    config_file = tmp_path / "config.json"
+    config_file.write_text("[1, 2]")
+    assert entrypoint(["run", "--config", str(config_file), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "must hold a JSON object" in err
+
+
 def test_ci_scale_preset():
     invocation = parse_and_validate(["run", "--ci-scale"])
     assert invocation.config.participant_count == 160
@@ -147,6 +155,35 @@ def test_high_perf_flags_fill_defaults():
     assert invocation.config.high_perf_override == (100, 2.5)
     invocation = parse_and_validate(["run", "--high-perf-factor", "3.0"])
     assert invocation.config.high_perf_override == (1000, 3.0)
+
+
+@pytest.mark.parametrize(
+    "flags, override",
+    [(["--high-perf-factor", "3"], [5, 3.0]), (["--high-perf-id", "7"], [7, 2.0])],
+    ids=["factor", "id"],
+)
+def test_high_perf_flag_keeps_other_half_of_config_override(tmp_path, flags, override):
+    config_file = tmp_path / "config.json"
+    config_file.write_text(
+        json.dumps({"participant_count": 160, "rounds": 4, "runs": 2, "high_perf_override": [5, 2.0]})
+    )
+    out = tmp_path / "out"
+    assert entrypoint(["run", "--config", str(config_file), *flags, "--out", str(out)]) == 0
+    summary = json.loads((out / "summaries" / "high_perf_n001.json").read_text())
+    assert summary["config"]["high_perf_override"] == override
+
+
+def test_shared_profile_and_mult_range_reach_the_config():
+    config = parse_and_validate(
+        ["run", "--ci-scale", "--shared-profile", "--mult-range", "0.9,1.1"]
+    ).config
+    assert config.redraw_profile_per_run is False
+    assert config.multiplier_range == (0.9, 1.1)
+
+
+def test_unknown_condition_error_names_the_valid_ones():
+    with pytest.raises(ConfigurationError, match="homogeneous.*high_perf"):
+        parse_and_validate(["sweep", "--ci-scale", "--conditions", "bogus"])
 
 
 def test_default_override_id_must_fit_population():
@@ -358,6 +395,14 @@ def _number_name(manifest):
     return manifest
 
 
+def _set(key, value):
+    def edit(data):
+        data[key] = value
+        return data
+
+    return edit
+
+
 def _drop_config_field(key, field):
     def edit(data):
         del data[key][field]
@@ -399,6 +444,15 @@ BAD_BUNDLES = [
     ("manifest", _drop_config_field("base_config", "master_seed"),
      "missing key 'base_config.master_seed'"),
     ("manifest", _drop("kind"), "missing key 'kind'"),
+    ("manifest", _set("summaries", ["../summaries/homogeneous_n004.json"]),
+     "key 'summaries' must list plain, unique file names"),
+    ("manifest", _set("summaries", ["/outside.json"]),
+     "key 'summaries' must list plain, unique file names"),
+    ("manifest", _set("summaries", ["homogeneous_n004.json"] * 2),
+     "key 'summaries' must list plain, unique file names"),
+    ("summary", _set("reward_stats", []), "key 'reward_stats' must be an object, got []"),
+    ("summary", _set("config", []), "key 'config' must be an object, got []"),
+    ("summary", _set("ranking", []), "key 'ranking' must be an object, got []"),
 ]
 
 
@@ -408,7 +462,9 @@ BAD_BUNDLES = [
     ids=["missing_summary_key", "missing_manifest_summaries", "non_string_name", "non_object_json",
          "non_number_value", "bool_value", "fractional_rank_count", "string_rank_count",
          "bool_rank_count", "fractional_override_id", "string_override_id", "empty_summaries",
-         "missing_config_field", "missing_base_config_field", "missing_manifest_kind"],
+         "missing_config_field", "missing_base_config_field", "missing_manifest_kind",
+         "parent_dir_name", "absolute_name", "repeated_name", "list_reward_stats", "list_config",
+         "list_ranking"],
 )
 def test_malformed_bundle_exits_2_with_one_line(tmp_path, capsys, target, edit, message):
     if target == "ranking":
@@ -592,6 +648,8 @@ BAD_FLAGS = [
     ["--base-time", "nan"],
     ["--reward", "inf"],
     ["--high-perf-factor", "nan"],
+    ["--perf-range", "1"],
+    ["--threads", "0"],
 ]
 BAD_SWEEP_FLAGS = [
     ["--team-sizes", "2,2"],
@@ -599,17 +657,25 @@ BAD_SWEEP_FLAGS = [
     ["--team-sizes=0"],
     ["--runs", "0"],
     ["--conditions", "homogeneous,homogeneous"],
+    ["--team-sizes", "a"],
+    ["--team-sizes", ","],
+    ["--conditions", "bogus"],
+    ["--conditions", ","],
 ]
+# A high-perf flag completes a pair from the config file; anything else there is rejected.
+BAD_CONFIG_AND_FLAGS = [({"high_perf_override": [1, 2.5, 3]}, ["--high-perf-factor", "3"])]
 
 
 @pytest.mark.parametrize(
     "command, config, flags",
     [("run", c, []) for c in BAD_CONFIG_FILES]
     + [("run", {}, f) for f in BAD_FLAGS]
-    + [("sweep", {}, f) for f in BAD_SWEEP_FLAGS],
+    + [("sweep", {}, f) for f in BAD_SWEEP_FLAGS]
+    + [("run", c, f) for c, f in BAD_CONFIG_AND_FLAGS],
     ids=[json.dumps(c) for c in BAD_CONFIG_FILES]
     + [" ".join(f) for f in BAD_FLAGS]
-    + ["sweep " + " ".join(f) for f in BAD_SWEEP_FLAGS],
+    + ["sweep " + " ".join(f) for f in BAD_SWEEP_FLAGS]
+    + [f"{json.dumps(c)} {' '.join(f)}" for c, f in BAD_CONFIG_AND_FLAGS],
 )
 def test_bad_config_input_exits_1_with_one_line(tmp_path, capsys, command, config, flags):
     config_file = tmp_path / "config.json"
