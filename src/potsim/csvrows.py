@@ -152,21 +152,26 @@ def _csv_rows(fields: Sequence[np.ndarray]) -> bytes:
     return table[table != 0].tobytes()
 
 
-def write_rows(runs: Sequence[RunResult], destination: IO[bytes]) -> int:
-    """Write the CSV rows of runs of one population, run_id set by position; returns the row count.
+# The columns of runs.csv, in the order of the fields that write_rows builds.
+CSV_HEADER = "run_id,participant_id,performance_factor,reward,wins,active_time_seconds,rank"
 
-    The runs are stacked into groups of at most ``CSV_BLOCK_ROWS`` rows, and
-    each group is ranked in one ``competition_ranks`` call; a run longer than
-    a block is a group of its own, written in several blocks. Each block is
-    one (rows, width) byte table with every field in a slot of fixed width,
-    padded with NUL, and is written with the NULs dropped. Integers come
-    from digit tables (participant ids and ranks from one table of 0..n),
-    reals from ``format_g6``. Runs that differ in population raise
-    ``ValueError``.
+
+def write_rows(runs: Sequence[RunResult], destination: IO[bytes]) -> int:
+    """Write the header and rows of runs.csv for runs of one population; returns the row count.
+
+    run_id is set by position. The runs are stacked into groups of at most
+    ``CSV_BLOCK_ROWS`` rows, and each group is ranked in one
+    ``competition_ranks`` call; a run longer than a block is a group of its
+    own, written in several blocks. Each block is one (rows, width) byte
+    table with every field in a slot of fixed width, padded with NUL, and is
+    written with the NULs dropped. Integers come from digit tables
+    (participant ids and ranks from one table of 0..n), reals from
+    ``format_g6``. Runs that differ in population raise ``ValueError``.
     """
     populations = {len(run.cumulative_reward) for run in runs}
     if len(populations) > 1:
         raise ValueError(f"runs.csv takes runs of one population, got {sorted(populations)}")
+    destination.write(f"{CSV_HEADER}\n".encode("utf-8"))
     n = max(populations, default=1)
     ids = _decimal_digits(np.arange(n + 1))  # digits of 0..n: participant ids and ranks
     group_runs = max(1, CSV_BLOCK_ROWS // n)

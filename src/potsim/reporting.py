@@ -14,6 +14,7 @@ import math
 import os
 import time
 from contextlib import ExitStack, contextmanager
+from functools import partial
 from pathlib import Path
 from typing import IO, Iterator, Sequence
 
@@ -24,8 +25,6 @@ from .metrics import RANKING_BUCKETS, DistStats, ShapeStats
 
 TOOL_NAME = "potsim"
 TABLE_IDS = ("rewards", "ranking", "energy", "shape", "correlation")
-
-CSV_HEADER = "run_id,participant_id,performance_factor,reward,wins,active_time_seconds,rank"
 
 # Published reference results, keyed by scenario label. The ranking reference
 # does not state which team size its team column used, so it is keyed by
@@ -116,15 +115,12 @@ def write_runs_csv(runs: Sequence[RunResult], destination: IO[bytes]) -> int:
     """Write runs of one population into one CSV, run_id column set by position.
 
     Returns the number of rows; runs that differ in population raise
-    ``ValueError``. The rows are built in numpy by ``csvrows.write_rows``, a
-    block of runs at a time; its ``format_g6`` equals ``format(x, ".6g")``
-    for every float, so the bytes are those of a row-by-row ``format`` writer.
+    ``ValueError``. ``csvrows.write_rows`` writes the header and the rows.
     """
     # Imported here, so that only a CSV write compiles the formatter and builds its tables.
     from .csvrows import write_rows
 
     try:
-        destination.write((CSV_HEADER + "\n").encode("utf-8"))
         return write_rows(runs, destination)
     except OSError as exc:
         raise OSError(f"participant CSV write failed: {exc}") from exc
@@ -146,12 +142,22 @@ def _select_summaries(summaries: Sequence[ScenarioSummary], which: str) -> list[
     return chosen
 
 
-def _shape_flag(label: str, metric: str, computed: float) -> bool | None:
-    spec = SHAPE_TOLERANCES.get(label, {}).get(metric)
-    if spec is None or math.isnan(computed):
-        return None
-    center, band = spec
-    return abs(computed - center) > band
+# The values of one summary's row in each table of rows, keyed by table id.
+_ROW_VALUES = {
+    "rewards": lambda s: dataclasses.asdict(s.reward_stats),
+    "energy": lambda s: {"total_active_time_1e6_s": s.total_active_time_mean / 1e6},
+    "shape": lambda s: dataclasses.asdict(s.shape_stats),
+    "correlation": lambda s: {"correlation": s.correlation},
+}
+
+
+def _flags(label: str, values: dict[str, float]) -> dict[str, bool]:
+    """Which values lie outside their SHAPE_TOLERANCES band; only shape metrics have bands."""
+    return {
+        metric: abs(values[metric] - center) > band
+        for metric, (center, band) in SHAPE_TOLERANCES.get(label, {}).items()
+        if not math.isnan(values.get(metric, math.nan))
+    }
 
 
 def emit_table(summaries: Sequence[ScenarioSummary], which: str) -> dict:
@@ -175,64 +181,39 @@ def emit_table(summaries: Sequence[ScenarioSummary], which: str) -> dict:
 
     rows = []
     for s in chosen:
-        label = summary_label(s)
-        if which == "rewards":
-            values = dataclasses.asdict(s.reward_stats)
-        elif which == "energy":
-            values = {"total_active_time_1e6_s": s.total_active_time_mean / 1e6}
-        elif which == "shape":
-            values = dataclasses.asdict(s.shape_stats)
-        else:
-            values = {"correlation": s.correlation}
-        row: dict = {"scenario": label, **values}
-        row["reference"] = REFERENCE_TABLES[which].get(label)
-        if which == "shape":
-            flags = {
-                metric: flag
-                for metric in ("skewness", "excess_kurtosis")
-                if (flag := _shape_flag(label, metric, values[metric])) is not None
-            }
-            if flags:
-                row["flagged"] = flags
+        label, values = summary_label(s), _ROW_VALUES[which](s)
+        row = {"scenario": label, **values, "reference": REFERENCE_TABLES[which].get(label)}
+        if flags := _flags(label, values):
+            row["flagged"] = flags
         rows.append(row)
-    columns = ["scenario"] + [k for k in rows[0] if k not in ("scenario", "reference", "flagged")]
-    return {"table": which, "columns": columns, "rows": rows}
+    # Every summary gives the same keys.
+    return {"table": which, "columns": ["scenario", *values], "rows": rows}
 
 
 def render_delta_report(tables: Sequence[dict]) -> str:
     """Human-readable computed-vs-reference report for emitted table documents."""
     lines = []
     for doc in tables:
-        which = doc["table"]
-        lines.append(f"== {which} ==")
-        if which == "ranking":
-            for label, col in doc["scenarios"].items():
-                lines.append(f"  {label}: " + ", ".join(f"{k}={v}" for k, v in col.items()))
-            for label, col in doc["reference"].items():
-                lines.append(
-                    f"  reference {label}: " + ", ".join(f"{k}={v}" for k, v in col.items())
-                )
-            lines.append("")
-            continue
-        for row in doc["rows"]:
-            reference = row.get("reference")
-            flagged = row.get("flagged", {})
+        lines.append(f"== {doc['table']} ==")
+        if doc["table"] == "ranking":
+            for prefix, columns in (("", doc["scenarios"]), ("reference ", doc["reference"])):
+                for label, col in columns.items():
+                    cells = ", ".join(f"{k}={v}" for k, v in col.items())
+                    lines.append(f"  {prefix}{label}: {cells}")
+        for row in doc.get("rows", []):
             for metric in doc["columns"][1:]:
                 computed = row[metric]
-                if reference is None or metric not in reference:
-                    lines.append(f"  {row['scenario']:<12} {metric:<24} {computed:>12.4f}")
-                    continue
-                ref = reference[metric]
-                delta = computed - ref
-                if ref != 0 and not math.isnan(delta):
-                    rel = f"{abs(delta) / abs(ref):.1%}"
-                else:
-                    rel = "0.0%" if delta == 0 else "n/a"
-                mark = "  FLAG" if flagged.get(metric) else ""
-                lines.append(
-                    f"  {row['scenario']:<12} {metric:<24} {computed:>12.4f} "
-                    f"ref {ref:>10.4f}  delta {delta:>+10.4f} ({rel}){mark}"
-                )
+                line = f"  {row['scenario']:<12} {metric:<24} {computed:>12.4f}"
+                if row["reference"] is not None:
+                    ref = row["reference"][metric]
+                    delta = computed - ref
+                    if ref != 0 and not math.isnan(delta):
+                        rel = f"{abs(delta) / abs(ref):.1%}"
+                    else:
+                        rel = "0.0%" if delta == 0 else "n/a"
+                    mark = "  FLAG" if row.get("flagged", {}).get(metric) else ""
+                    line += f" ref {ref:>10.4f}  delta {delta:>+10.4f} ({rel}){mark}"
+                lines.append(line)
         lines.append("")
     return "\n".join(lines)
 
@@ -417,15 +398,25 @@ def _summary_names(data: dict) -> list[str]:
     return names
 
 
+def _listed_summary(name: str, data: dict) -> ScenarioSummary:
+    """The summary in data, which the manifest lists as ``name``; that must be its file name."""
+    summary = summary_from_dict(data)
+    if (expected := _summary_filename(summary)) != name:
+        raise ValueError(f"its config names the file {expected!r}, not {name!r}")
+    return summary
+
+
 def load_bundle(out_dir: Path) -> list[ScenarioSummary]:
     """The summaries that out_dir's manifest lists, read back in its order.
 
     A missing manifest is a FileNotFoundError; a malformed manifest or
-    summary is a ValueError naming the file and the missing or bad key.
+    summary, or a summary listed under another scenario's file name, is a
+    ValueError naming the file and the missing or bad key.
     """
     out_dir = Path(out_dir)
     manifest_path = out_dir / "manifest.json"
     if not manifest_path.exists():
         raise FileNotFoundError(f"no manifest.json under {out_dir}")
     names = _read_json_object(manifest_path, _summary_names)
-    return [_read_json_object(out_dir / "summaries" / name, summary_from_dict) for name in names]
+    folder = out_dir / "summaries"
+    return [_read_json_object(folder / name, partial(_listed_summary, name)) for name in names]

@@ -419,12 +419,23 @@ def _rank_count(key, value):
     return edit
 
 
-def _override(value):
+def _config_field(field, value):
     def edit(summary):
-        summary["config"]["high_perf_override"] = value
+        summary["config"][field] = value
         return summary
 
     return edit
+
+
+def _list_copy(tmp_path, name):
+    """List a copy of the run's summary as ``name`` in the manifest; returns the copy's path."""
+    manifest_path = tmp_path / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["summaries"].append(name)
+    manifest_path.write_text(json.dumps(manifest))
+    copy = tmp_path / "summaries" / name
+    copy.write_bytes((tmp_path / "summaries" / "homogeneous_n004.json").read_bytes())
+    return copy
 
 
 BAD_BUNDLES = [
@@ -437,8 +448,10 @@ BAD_BUNDLES = [
     ("ranking", _rank_count("1", 2.7), "key '1' must be a non-negative integer, got 2.7"),
     ("ranking", _rank_count("2", "1"), "key '2' must be a non-negative integer, got '1'"),
     ("ranking", _rank_count("3", True), "key '3' must be a non-negative integer, got True"),
-    ("ranking", _override([3.9, 2.5]), "high_perf_override id must be an integer, got 3.9"),
-    ("ranking", _override(["3", 2.5]), "high_perf_override id must be an integer, got '3'"),
+    ("ranking", _config_field("high_perf_override", [3.9, 2.5]),
+     "high_perf_override id must be an integer, got 3.9"),
+    ("ranking", _config_field("high_perf_override", ["3", 2.5]),
+     "high_perf_override id must be an integer, got '3'"),
     ("manifest", _empty_summaries, "key 'summaries' lists no summary files"),
     ("summary", _drop_config_field("config", "perf_range"), "missing key 'config.perf_range'"),
     ("manifest", _drop_config_field("base_config", "master_seed"),
@@ -453,6 +466,13 @@ BAD_BUNDLES = [
     ("summary", _set("reward_stats", []), "key 'reward_stats' must be an object, got []"),
     ("summary", _set("config", []), "key 'config' must be an object, got []"),
     ("summary", _set("ranking", []), "key 'ranking' must be an object, got []"),
+    # A summary must sit under the file name its config gives.
+    ("summary", _config_field("team_size", 8),
+     "its config names the file 'homogeneous_n008.json', not 'homogeneous_n004.json'"),
+    ("summary", _config_field("high_perf_override", [3, 2.5]),
+     "its config names the file 'high_perf_n004.json', not 'homogeneous_n004.json'"),
+    ("copy", lambda summary: summary,
+     "its config names the file 'homogeneous_n004.json', not 'homogeneous_n008.json'"),
 ]
 
 
@@ -464,7 +484,7 @@ BAD_BUNDLES = [
          "bool_rank_count", "fractional_override_id", "string_override_id", "empty_summaries",
          "missing_config_field", "missing_base_config_field", "missing_manifest_kind",
          "parent_dir_name", "absolute_name", "repeated_name", "list_reward_stats", "list_config",
-         "list_ranking"],
+         "list_ranking", "other_team_size", "override_in_homogeneous", "copy_under_second_name"],
 )
 def test_malformed_bundle_exits_2_with_one_line(tmp_path, capsys, target, edit, message):
     if target == "ranking":
@@ -472,7 +492,9 @@ def test_malformed_bundle_exits_2_with_one_line(tmp_path, capsys, target, edit, 
         path = tmp_path / "summaries" / "high_perf_n004.json"
     else:
         assert entrypoint(run_args(tmp_path)) == 0
-        path = tmp_path / ("summaries/homogeneous_n004.json" if target == "summary" else "manifest.json")
+        path = tmp_path / ("manifest.json" if target == "manifest" else "summaries/homogeneous_n004.json")
+    if target == "copy":
+        path = _list_copy(tmp_path, "homogeneous_n008.json")
     path.write_text(json.dumps(edit(json.loads(path.read_text()))))
     capsys.readouterr()
     assert entrypoint(["report", "--from", str(tmp_path)]) == 2

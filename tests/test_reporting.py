@@ -20,8 +20,8 @@ from hypothesis import strategies as st
 import oracles
 import potsim
 from potsim.cli import PAPER_DEFAULTS
-from potsim.core import ScenarioConfig, run_simulation
-from potsim.csvrows import format_g6
+from potsim.core import ConfigurationError, ScenarioConfig, run_simulation
+from potsim.csvrows import CSV_HEADER, format_g6
 from potsim.experiments import (
     Condition,
     SweepSpec,
@@ -30,7 +30,6 @@ from potsim.experiments import (
     sweep_team_sizes,
 )
 from potsim.reporting import (
-    CSV_HEADER,
     REFERENCE_TABLES,
     SHAPE_TOLERANCES,
     TABLE_IDS,
@@ -267,6 +266,19 @@ def test_tables_prefer_homogeneous_condition():
     )
     doc = emit_table(summaries, "correlation")
     assert len(doc["rows"]) == 2
+
+
+def test_table_rejects_two_summaries_of_one_label():
+    # Two seeds of one team size give two rows labeled PoTS (2).
+    configs = [
+        ScenarioConfig(participant_count=8, team_size=2, rounds=5, runs=1, master_seed=seed)
+        for seed in (1, 2)
+    ]
+    summaries = [summarize_runs(cfg, execute_runs(cfg)) for cfg in configs]
+    message = "duplicate scenario labels in rewards table inputs: ['PoTS (2)', 'PoTS (2)']"
+    with pytest.raises(ConfigurationError) as raised:
+        emit_table(summaries, "rewards")
+    assert str(raised.value) == message
 
 
 def test_unknown_table_id_rejected():
