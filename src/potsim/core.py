@@ -142,6 +142,8 @@ class ScenarioConfig:
 
         n = self.participant_count
         _require(n >= 1, f"participant_count must be positive, got {n}")
+        # A sort key's low half holds a flat index of the block (see form_teams).
+        _require(n <= 1 << 32, f"participant_count must be at most 2**32, got {n}")
         _require(self.team_size >= 1, f"team_size must be positive, got {self.team_size}")
         _require(
             n % self.team_size == 0,

@@ -672,6 +672,7 @@ BAD_FLAGS = [
     ["--high-perf-factor", "nan"],
     ["--perf-range", "1"],
     ["--threads", "0"],
+    ["--participants", "4294967297"],
 ]
 BAD_SWEEP_FLAGS = [
     ["--team-sizes", "2,2"],

@@ -40,6 +40,13 @@ def test_config_error_names_both_values():
         config(participant_count=10, team_size=3)
 
 
+def test_config_rejects_population_above_2_to_the_32():
+    # Above 2**32 a flat index no longer fits a sort key's low half.
+    assert config(participant_count=1 << 32).participant_count == 1 << 32
+    with pytest.raises(ConfigurationError, match=r"at most 2\*\*32, got 4294967297"):
+        config(participant_count=(1 << 32) + 1)
+
+
 def test_config_rejects_team_size_larger_than_population():
     with pytest.raises(ConfigurationError):
         config(participant_count=4, team_size=8)

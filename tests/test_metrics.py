@@ -120,6 +120,22 @@ def test_percentile_monotonicity(table):
         assert list(row) == sorted(row)
 
 
+# Few distinct values, so rows tie; signed zeros, NaN and infinities, which
+# engine data never holds.
+_edge_floats = st.sampled_from((0.0, -0.0, 1.0, -1.0, math.nan, math.inf, -math.inf)) | st.floats()
+
+
+@settings(max_examples=300, deadline=None)
+@given(arrays(float, array_shapes(min_dims=2, max_dims=2, max_side=69), elements=_edge_floats))
+@example(np.array([[0.0, -0.0, 0.0, -0.0, -0.0], [math.inf, 1.0, -math.inf, 0.0, math.nan]]))
+def test_percentiles_match_np_percentile_bit_for_bit(table):
+    with np.errstate(all="ignore"):
+        stats = distribution_stats(table)
+        expected = np.percentile(table, [0, 25, 50, 75, 100], axis=1)
+    got = np.array([stats.min, stats.p25, stats.median, stats.p75, stats.max], dtype=float)
+    assert got.view(np.uint64).tolist() == expected.reshape(got.shape).view(np.uint64).tolist()
+
+
 # -- skewness / kurtosis ----------------------------------------------------
 
 

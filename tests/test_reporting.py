@@ -180,6 +180,31 @@ def test_importing_the_cli_leaves_the_csv_writer_unloaded():
     assert done.stdout == "False\n"
 
 
+def test_commands_never_import_numpy_ma(tmp_path):
+    # np.percentile imports all of numpy.ma on its first call; the summaries'
+    # percentiles do without it. Team size 160 leaves shape statistics NaN.
+    code = "\n".join(
+        [
+            "import sys",
+            "from potsim.cli import entrypoint",
+            "for argv in (",
+            "    ['sweep', '--ci-scale', '--high-perf-id', '100', '--team-sizes', '1,2,160'],",
+            "    ['run', '--ci-scale', '--raw', '--out', 'run'],",
+            "    ['report'],",
+            "):",
+            "    assert entrypoint(argv) == 0, argv",
+            "print('numpy.ma' in sys.modules, file=sys.stderr)",
+        ]
+    )
+    env = {k: v for k, v in os.environ.items() if k != "POTSIM_OUT"}
+    env["PYTHONPATH"] = str(Path(potsim.__file__).parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, cwd=tmp_path, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == "False\n"
+
+
 def _float_of_bits(bits: int) -> float:
     return struct.unpack("<d", struct.pack("<Q", bits))[0]
 
