@@ -11,6 +11,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -104,24 +105,38 @@ class SweepSpec:
         object.__setattr__(self, "configs", tuple(configs))
 
 
+# The per-run statistics a summary keeps, in table order.
+STATISTICS = (
+    *(field.name for stats in (DistStats, ShapeStats) for field in fields(stats)),
+    "correlation",
+    "total_active_time",
+)
+
+
 @dataclass(frozen=True)
 class ScenarioSummary:
-    """Cross-run aggregates for one scenario.
+    """One scenario's per-run statistics and the override participant's ranking.
 
-    Statistics are the arithmetic mean of per-run statistics (not pooled
-    samples). ``correlation`` averages each run's reward-vs-factor Pearson
-    coefficient. ``ranking`` is present only when a high-performance
-    override participant exists to be ranked: its run counts keyed by
-    ``metrics.RANKING_BUCKETS``. Runs with undefined per-run
-    statistics (e.g. zero rounds) yield NaN fields.
+    ``per_run`` maps each name in ``STATISTICS`` to its value in every run, in run order,
+    NaN where undefined (e.g. after zero rounds). ``ranking`` counts the runs by the
+    override participant's rank, keyed by ``metrics.RANKING_BUCKETS``; None without one.
     """
 
     config_echo: ScenarioConfig
-    reward_stats: DistStats
-    shape_stats: ShapeStats
-    correlation: float
-    total_active_time_mean: float
+    per_run: dict[str, tuple[float, ...]]
     ranking: dict[str, int] | None = None
+
+    @cached_property
+    def means(self) -> dict[str, float]:
+        """Each statistic's mean over the runs, not pooled samples: every aggregate reads it."""
+        table = np.array([self.per_run[name] for name in STATISTICS])
+        return dict(zip(STATISTICS, table.mean(axis=1).tolist()))
+
+    # Views of the means, grouped as the summary JSON writes them.
+    reward_stats = property(lambda s: DistStats(*(s.means[f.name] for f in fields(DistStats))))
+    shape_stats = property(lambda s: ShapeStats(*(s.means[f.name] for f in fields(ShapeStats))))
+    correlation = property(lambda s: s.means["correlation"])
+    total_active_time_mean = property(lambda s: s.means["total_active_time"])
 
     @property
     def condition(self) -> Condition:
@@ -166,24 +181,16 @@ def execute_runs(config: ScenarioConfig, workers: int = 1) -> list[RunResult]:
         return list(pool.map(_run_task, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
 
 
-# The 7 DistStats fields, skewness, excess kurtosis, correlation, total active time.
-_TABLE_ROWS = 11
+def summarize_runs(config: ScenarioConfig, runs: Sequence[RunResult]) -> ScenarioSummary:
+    """Tabulate each run's statistics, and the override's ranks, into a ScenarioSummary.
 
-
-def _statistics_table(
-    config: ScenarioConfig, runs: Sequence[RunResult]
-) -> tuple[np.ndarray, dict[str, int] | None]:
-    """The (statistic, run) table in ``_TABLE_ROWS`` order, and the ranking.
-
-    The table is filled a chunk of runs at a time: each chunk's rewards,
-    factors and active times are stacked into (runs, n) tables of at most
-    the engine's block of elements, and each statistic is one call over the
-    chunk. A shape or correlation statistic that is undefined for a run
-    (zero variance, as after zero rounds) is NaN. The ranking counts the
-    override participant's ranks, and is None without an override.
+    The (statistic, run) table is filled a chunk of runs at a time: each chunk's rewards,
+    factors and active times are stacked into (runs, n) tables of at most the engine's
+    block of elements, one call per statistic and chunk. A statistic undefined for a run
+    (zero variance, as after zero rounds) is NaN; the ranking is None without an override.
     """
     chunk = max(1, _BLOCK_ELEMENTS // config.participant_count)
-    table = np.empty((_TABLE_ROWS, len(runs)))
+    table = np.empty((len(STATISTICS), len(runs)))
     ranking = None
     if config.high_perf_override is not None:
         ranking = dict.fromkeys(RANKING_BUCKETS, 0)
@@ -204,25 +211,7 @@ def _statistics_table(
         if ranking is not None:
             for bucket, count in ranking_histogram(rewards, config.high_perf_override[0]).items():
                 ranking[bucket] += count
-    return table, ranking
-
-
-def summarize_runs(config: ScenarioConfig, runs: Sequence[RunResult]) -> ScenarioSummary:
-    """Average per-run statistics into a ScenarioSummary.
-
-    The statistics sit in one (statistic, run) table, and each summary value
-    is the mean of its row.
-    """
-    table, ranking = _statistics_table(config, runs)
-    means = table.mean(axis=1).tolist()
-    return ScenarioSummary(
-        config_echo=config,
-        reward_stats=DistStats(*means[:7]),
-        shape_stats=ShapeStats(*means[7:9]),
-        correlation=means[9],
-        total_active_time_mean=means[10],
-        ranking=ranking,
-    )
+    return ScenarioSummary(config, dict(zip(STATISTICS, map(tuple, table.tolist()))), ranking)
 
 
 def execute_scenario(config: ScenarioConfig, workers: int = 1) -> ScenarioSummary:

@@ -20,8 +20,8 @@ from typing import IO, Iterator, Sequence
 
 from . import __version__
 from .core import ConfigurationError, RunResult, ScenarioConfig
-from .experiments import Condition, ScenarioSummary
-from .metrics import RANKING_BUCKETS, DistStats, ShapeStats
+from .experiments import STATISTICS, Condition, ScenarioSummary
+from .metrics import RANKING_BUCKETS
 
 TOOL_NAME = "potsim"
 TABLE_IDS = ("rewards", "ranking", "energy", "shape", "correlation")
@@ -231,31 +231,8 @@ def summary_to_dict(summary: ScenarioSummary) -> dict:
         "correlation": summary.correlation,
         "total_active_time_mean": summary.total_active_time_mean,
         "ranking": summary.ranking,
+        "per_run": summary.per_run,
     }
-
-
-def _number(data: dict, key: str) -> float:
-    """The number under ``key``; ``null``, which ``json_bytes`` writes for NaN, reads as NaN."""
-    value = data[key]
-    if value is None:
-        return math.nan
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"key {key!r} must be a number, got {value!r}")
-    return float(value)
-
-
-def _numbers(data: dict, key: str) -> dict[str, float]:
-    group = data[key]
-    if not isinstance(group, dict):
-        raise TypeError(f"key {key!r} must be an object, got {group!r}")
-    return {name: _number(group, name) for name in group}
-
-
-def _count(data: dict, key: str) -> int:
-    value = data[key]
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise TypeError(f"key {key!r} must be a non-negative integer, got {value!r}")
-    return value
 
 
 def _config(data: dict, key: str) -> ScenarioConfig:
@@ -269,21 +246,53 @@ def _config(data: dict, key: str) -> ScenarioConfig:
     return ScenarioConfig(**fields)
 
 
+def _per_run(data: dict, runs: int) -> dict[str, tuple[float, ...]]:
+    """The per-run table: each statistic's list of ``runs`` numbers, ``null`` reading as NaN."""
+    table = data["per_run"]
+    if not isinstance(table, dict):
+        raise TypeError(f"key 'per_run' must be an object, got {table!r}")
+    rows = {}
+    for name in STATISTICS:
+        if name not in table:
+            raise KeyError(f"per_run.{name}")
+        row = table[name]
+        if not isinstance(row, list) or len(row) != runs or {*map(type, row)} - {int, float, type(None)}:
+            raise TypeError(f"key 'per_run.{name}' must list {runs} numbers or nulls, got {row!r}")
+        rows[name] = tuple(math.nan if value is None else float(value) for value in row)
+    return rows
+
+
+def _ranking(data: dict, config: ScenarioConfig) -> dict[str, int] | None:
+    """The override's rank counts, which must sum to the runs; null without an override."""
+    raw, override = data["ranking"], config.high_perf_override is not None
+    if raw is None and not override:
+        return None
+    if not override or not isinstance(raw, dict):
+        want = "an object with" if override else "null without"
+        raise TypeError(f"key 'ranking' must be {want} a high_perf_override, got {raw!r}")
+    ranking = {bucket: raw[bucket] for bucket in RANKING_BUCKETS}
+    for bucket, count in ranking.items():
+        if isinstance(count, bool) or not isinstance(count, int) or count < 0:
+            raise TypeError(f"key {bucket!r} must be a non-negative integer, got {count!r}")
+    if (total := sum(ranking.values())) != config.runs:
+        raise ValueError(f"key 'ranking' counts sum to {total}, not to the {config.runs} runs")
+    return ranking
+
+
 def summary_from_dict(data: dict) -> ScenarioSummary:
-    ranking = None
-    if data.get("ranking") is not None:
-        raw = data["ranking"]
-        if not isinstance(raw, dict):
-            raise TypeError(f"key 'ranking' must be an object, got {raw!r}")
-        ranking = {bucket: _count(raw, bucket) for bucket in RANKING_BUCKETS}
-    return ScenarioSummary(
-        config_echo=_config(data, "config"),
-        reward_stats=DistStats(**_numbers(data, "reward_stats")),
-        shape_stats=ShapeStats(**_numbers(data, "shape_stats")),
-        correlation=_number(data, "correlation"),
-        total_active_time_mean=_number(data, "total_active_time_mean"),
-        ranking=ranking,
-    )
+    """The summary that data's config, per_run and ranking give, from JSON or ``summary_to_dict``.
+
+    Every other key must hold what ``summary_to_dict`` derives from them.
+    """
+    data = _null_for_nan(data)
+    config = _config(data, "config")
+    summary = ScenarioSummary(config, _per_run(data, config.runs), _ranking(data, config))
+    derived = _null_for_nan(summary_to_dict(summary))
+    for key in derived:
+        if key not in ("config", "per_run", "ranking") and data[key] != derived[key]:
+            raise ValueError(f"key {key!r} is {data[key]!r}, "
+                             f"not the {derived[key]!r} that its config and per_run give")
+    return summary
 
 
 def _summary_filename(summary: ScenarioSummary) -> str:
@@ -379,7 +388,7 @@ def _read_json_object(path: Path, parse):
         return parse(data)
     except KeyError as exc:
         raise ValueError(f"{path}: missing key {exc}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{path}: {exc}") from None
 
 

@@ -27,6 +27,7 @@ from potsim.cli import (
 )
 from potsim.core import ConfigurationError
 from potsim.experiments import execute_runs
+from potsim.metrics import RANKING_BUCKETS
 from potsim.reporting import load_bundle
 
 
@@ -427,6 +428,22 @@ def _config_field(field, value):
     return edit
 
 
+def _with(change):
+    def edit(data):
+        change(data)
+        return data
+
+    return edit
+
+
+def _per_run_entry(name, index, value):
+    def edit(summary):
+        summary["per_run"][name][index] = value
+        return summary
+
+    return edit
+
+
 def _list_copy(tmp_path, name):
     """List a copy of the run's summary as ``name`` in the manifest; returns the copy's path."""
     manifest_path = tmp_path / "manifest.json"
@@ -443,8 +460,8 @@ BAD_BUNDLES = [
     ("manifest", _drop("summaries"), "missing key 'summaries'"),
     ("manifest", _number_name, "key 'summaries' must be a list of file names"),
     ("summary", lambda summary: [summary], "expected a JSON object, got list"),
-    ("summary", _mean("10.0"), "key 'mean' must be a number, got '10.0'"),
-    ("summary", _mean(True), "key 'mean' must be a number, got True"),
+    ("summary", _mean("10.0"), "key 'reward_stats' is {'mean': '10.0', "),
+    ("summary", _mean(True), "key 'reward_stats' is {'mean': True, "),
     ("ranking", _rank_count("1", 2.7), "key '1' must be a non-negative integer, got 2.7"),
     ("ranking", _rank_count("2", "1"), "key '2' must be a non-negative integer, got '1'"),
     ("ranking", _rank_count("3", True), "key '3' must be a non-negative integer, got True"),
@@ -463,16 +480,43 @@ BAD_BUNDLES = [
      "key 'summaries' must list plain, unique file names"),
     ("manifest", _set("summaries", ["homogeneous_n004.json"] * 2),
      "key 'summaries' must list plain, unique file names"),
-    ("summary", _set("reward_stats", []), "key 'reward_stats' must be an object, got []"),
+    ("summary", _set("reward_stats", []), "key 'reward_stats' is [], not the {'mean': "),
     ("summary", _set("config", []), "key 'config' must be an object, got []"),
-    ("summary", _set("ranking", []), "key 'ranking' must be an object, got []"),
-    # A summary must sit under the file name its config gives.
-    ("summary", _config_field("team_size", 8),
-     "its config names the file 'homogeneous_n008.json', not 'homogeneous_n004.json'"),
+    ("summary", _set("ranking", []),
+     "key 'ranking' must be null without a high_perf_override, got []"),
+    # The label and condition must be the ones the config gives.
+    ("summary", _config_field("team_size", 8), "key 'label' is 'PoTS (4)', not the 'PoTS (8)'"),
     ("summary", _config_field("high_perf_override", [3, 2.5]),
-     "its config names the file 'high_perf_n004.json', not 'homogeneous_n004.json'"),
+     "key 'ranking' must be an object with a high_perf_override, got None"),
+    # A summary must sit under the file name its config gives.
+    ("summary", _with(lambda s: s.update(label="PoTS (8)", config={**s["config"], "team_size": 8})),
+     "its config names the file 'homogeneous_n008.json', not 'homogeneous_n004.json'"),
     ("copy", lambda summary: summary,
      "its config names the file 'homogeneous_n004.json', not 'homogeneous_n008.json'"),
+    # Every aggregate is checked against the per-run table, which a summary
+    # written before the table was kept does not have.
+    ("summary", _drop("per_run"), "missing key 'per_run'"),
+    ("summary", _with(lambda s: s["per_run"]["mean"].pop()),
+     "key 'per_run.mean' must list 3 numbers or nulls, got ["),
+    ("summary", _with(lambda s: s["per_run"]["max"].append(0.0)),
+     "key 'per_run.max' must list 3 numbers or nulls, got ["),
+    ("summary", _per_run_entry("p25", 0, "1.0"),
+     "key 'per_run.p25' must list 3 numbers or nulls, got ['1.0', "),
+    ("summary", _per_run_entry("p75", 1, True),
+     "key 'per_run.p75' must list 3 numbers or nulls, got ["),
+    ("summary", _drop_config_field("per_run", "skewness"), "missing key 'per_run.skewness'"),
+    ("summary", _per_run_entry("median", 2, 10**400), "int too large to convert to float"),
+    ("summary", _with(lambda s: s["reward_stats"].update(mean=s["reward_stats"]["mean"] * 2)),
+     "key 'reward_stats' is {'mean': "),
+    ("summary", _set("condition", "high_perf"),
+     "key 'condition' is 'high_perf', not the 'homogeneous'"),
+    ("summary", _set("label", "PoTS (8)"), "key 'label' is 'PoTS (8)', not the 'PoTS (4)'"),
+    ("ranking", _with(lambda s: s["ranking"].update({"1": s["ranking"]["1"] + 996})),
+     "key 'ranking' counts sum to 999, not to the 3 runs"),
+    ("summary", _set("ranking", {bucket: 3 * (bucket == "1") for bucket in RANKING_BUCKETS}),
+     "key 'ranking' must be null without a high_perf_override, got {'1': 3, "),
+    ("ranking", _set("ranking", None),
+     "key 'ranking' must be an object with a high_perf_override, got None"),
 ]
 
 
@@ -484,7 +528,11 @@ BAD_BUNDLES = [
          "bool_rank_count", "fractional_override_id", "string_override_id", "empty_summaries",
          "missing_config_field", "missing_base_config_field", "missing_manifest_kind",
          "parent_dir_name", "absolute_name", "repeated_name", "list_reward_stats", "list_config",
-         "list_ranking", "other_team_size", "override_in_homogeneous", "copy_under_second_name"],
+         "list_ranking", "other_team_size", "override_in_homogeneous", "relabelled_team_size",
+         "copy_under_second_name", "no_per_run", "short_per_run_list", "unequal_per_run_lists",
+         "string_per_run_entry", "bool_per_run_entry", "missing_statistic", "huge_int_entry",
+         "edited_reward_mean", "other_condition", "other_label", "ranking_counts_not_runs",
+         "ranking_without_override", "null_ranking_with_override"],
 )
 def test_malformed_bundle_exits_2_with_one_line(tmp_path, capsys, target, edit, message):
     if target == "ranking":

@@ -1,9 +1,12 @@
 """Pinned output bytes: any change to the engine, the random stream, the
 statistics or the writers shows up as a changed digest.
 
-The digest covers every file a command and a following ``report --from``
-write, except ``manifest.json`` (it holds the version and a timestamp). Files
-are fed in sorted relative-POSIX-path order as ``path + b"\\0" + bytes``.
+The whole-tree digest covers every file a command and a following
+``report --from`` write, except ``manifest.json`` (it holds the version and a
+timestamp). The reported digest covers only what ``report`` and ``--raw``
+write: ``tables/``, ``delta_report.txt`` and ``runs.csv``, so a change to the
+summary files alone leaves it as it is. Files are fed in sorted
+relative-POSIX-path order as ``path + b"\\0" + bytes``.
 The pinned values were taken with numpy 2.4.6; numpy's Generator keeps its
 streams stable across releases, so a change here is a change in potsim.
 """
@@ -18,7 +21,17 @@ import pytest
 from potsim.cli import entrypoint
 
 
-def tree_digest(root: Path) -> str:
+REPORTED = ("tables/", "delta_report.txt", "runs.csv")
+
+COMMANDS = {
+    "ci_sweep": ["sweep", "--ci-scale", "--high-perf-id", "100",
+                 "--team-sizes", "1,2,4,5,8,10,16,20,32,40,80"],
+    "paper_run_raw": ["run", "--paper-defaults", "--team-size", "8", "--rounds", "16",
+                      "--runs", "4", "--raw"],
+}
+
+
+def tree_digest(root: Path, reported_only: bool = False) -> str:
     files = {
         path.relative_to(root).as_posix(): path
         for path in root.rglob("*")
@@ -26,26 +39,46 @@ def tree_digest(root: Path) -> str:
     }
     digest = hashlib.sha256()
     for name in sorted(files):
-        digest.update(name.encode("utf-8") + b"\0" + files[name].read_bytes())
+        if not reported_only or name.startswith(REPORTED):
+            digest.update(name.encode("utf-8") + b"\0" + files[name].read_bytes())
     return digest.hexdigest()
 
 
+@pytest.fixture(scope="module")
+def written(tmp_path_factory):
+    """The tree a golden command and a following ``report --from`` write, made once per command."""
+    trees = {}
+
+    def tree(command: str) -> Path:
+        if command not in trees:
+            out = tmp_path_factory.mktemp(command)
+            assert entrypoint(COMMANDS[command] + ["--out", str(out)]) == 0
+            assert entrypoint(["report", "--from", str(out)]) == 0
+            trees[command] = out
+        return trees[command]
+
+    return tree
+
+
 @pytest.mark.parametrize(
-    "argv, expected",
+    "command, expected",
     [
-        (
-            ["sweep", "--ci-scale", "--high-perf-id", "100",
-             "--team-sizes", "1,2,4,5,8,10,16,20,32,40,80"],
-            "9a6696f1879d2dcdbc2d2ce8a47fd49d6172b9723aa1a9857de85a7b0f5eeaa1",
-        ),
-        (
-            ["run", "--paper-defaults", "--team-size", "8", "--rounds", "16", "--runs", "4", "--raw"],
-            "b3cabfcaf00f471d31ed61a0254d4f408acebc31a44d3ec8d03e51a3629e8141",
-        ),
+        ("ci_sweep", "fd6d2b0a3f30554fc4cdc299afe37bbe400f21883ad043b7aa88f30b26bdcefa"),
+        ("paper_run_raw", "eb599b50507ef1f167314da1ce4eb797ef4a8f079a86f022fd7a5281508ee226"),
     ],
     ids=["ci_sweep", "paper_run_raw"],
 )
-def test_output_bytes_are_pinned(tmp_path, capsys, argv, expected):
-    assert entrypoint(argv + ["--out", str(tmp_path)]) == 0
-    assert entrypoint(["report", "--from", str(tmp_path)]) == 0
-    assert tree_digest(tmp_path) == expected
+def test_output_bytes_are_pinned(written, command, expected):
+    assert tree_digest(written(command)) == expected
+
+
+@pytest.mark.parametrize(
+    "command, expected",
+    [
+        ("ci_sweep", "6d82bb0d58e425269cfa394cda176cc0e4c70328bc7f764a76158d93b9b16a07"),
+        ("paper_run_raw", "30e92aeac59a75c00d9d93053e9716bf34fa615b07c6da8d120adf18e79c9baf"),
+    ],
+    ids=["ci_sweep", "paper_run_raw"],
+)
+def test_reported_bytes_are_pinned(written, command, expected):
+    assert tree_digest(written(command), reported_only=True) == expected

@@ -442,15 +442,16 @@ def test_chunked_table_matches_per_run_statistics(scenario):
         warnings.simplefilter("error")
         runs = execute_runs(config)
         with mock.patch.object(experiments, "_BLOCK_ELEMENTS", elements):
-            table, ranking = experiments._statistics_table(config, runs)
-        assert table.shape == (11, config.runs)
-        for run, column in zip(runs, table.T):
+            summary = summarize_runs(config, runs)
+        assert tuple(summary.per_run) == experiments.STATISTICS
+        assert {len(row) for row in summary.per_run.values()} == {config.runs}
+        for run, column in zip(runs, zip(*summary.per_run.values())):
             assert hex_column(column) == hex_column(frozen_column(run))
     if config.high_perf_override is None:
-        assert ranking is None
+        assert summary.ranking is None
     else:
         pid = config.high_perf_override[0]
         ranks = [int(competition_ranks(run.cumulative_reward[None])[0, pid]) for run in runs]
-        assert list(ranking.values()) == [ranks.count(rank) for rank in range(1, 11)] + [
+        assert list(summary.ranking.values()) == [ranks.count(rank) for rank in range(1, 11)] + [
             sum(rank >= 11 for rank in ranks)
         ]

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import oracles
 import potsim
-from potsim.cli import PAPER_DEFAULTS
+from potsim.cli import PAPER_DEFAULTS, parse_and_validate
 from potsim.core import ConfigurationError, ScenarioConfig, run_simulation
 from potsim.csvrows import CSV_HEADER, format_g6
 from potsim.experiments import (
@@ -34,6 +34,7 @@ from potsim.reporting import (
     SHAPE_TOLERANCES,
     TABLE_IDS,
     emit_table,
+    json_bytes,
     load_bundle,
     render_delta_report,
     scenario_label,
@@ -373,12 +374,28 @@ def test_config_dict_round_trip():
     assert ScenarioConfig(**json.loads(json.dumps(dataclasses.asdict(cfg)))) == cfg
 
 
+def mean_bits(summary) -> list[int]:
+    return np.array(list(summary.means.values())).view(np.uint64).tolist()
+
+
 def test_summary_dict_round_trip():
     for summary in sweep_summaries(
         conditions=(Condition.HOMOGENEOUS, Condition.HIGH_PERF), team_sizes=(1, 2)
     ):
         recovered = summary_from_dict(summary_to_dict(summary))
         assert recovered == summary
+    # Through the written JSON, every derived mean keeps its bits: on the
+    # ci_sweep golden command's scenarios, and with NaN rows after zero rounds.
+    sweep = parse_and_validate(
+        ["sweep", "--ci-scale", "--high-perf-id", "100", "--team-sizes", "1,2,4,5,8,10,16,20,32,40,80"]
+    ).sweep
+    summaries = sweep_team_sizes(sweep)
+    zero_rounds = ScenarioConfig(participant_count=4, team_size=2, rounds=0, runs=3)
+    summaries.append(summarize_runs(zero_rounds, execute_runs(zero_rounds)))
+    assert len(summaries) == 23 and math.isnan(summaries[-1].correlation)
+    for summary in summaries:
+        recovered = summary_from_dict(json.loads(json_bytes(summary_to_dict(summary))))
+        assert mean_bits(recovered) == mean_bits(summary)
 
 
 def test_summary_round_trip_preserves_nan():
