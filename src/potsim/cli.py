@@ -18,14 +18,16 @@ import sys
 from contextlib import ExitStack
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import IO, Iterator
 
 from . import __version__
-from .core import ConfigurationError, ScenarioConfig
+from .core import ConfigurationError, RunResult, ScenarioConfig
 from .experiments import (
     Condition,
     SweepSpec,
     execute_runs,
     summarize_runs,
+    summary_chunk,
     sweep_team_sizes,
 )
 from .reporting import (
@@ -272,21 +274,39 @@ def parse_and_validate(arguments: list[str]) -> CliInvocation:
     )
 
 
+def _stream_runs(
+    config: ScenarioConfig, threads: int, sink: IO[bytes] | None
+) -> Iterator[RunResult]:
+    """Every run of config in order, executed a summary chunk of runs at a time.
+
+    Each chunk's rows go to ``sink`` (runs.csv) unless it is None. One chunk
+    is held at a time; with more than one thread the scenario is one chunk,
+    so the command starts one pool.
+    """
+    chunk = summary_chunk(config) if threads == 1 else config.runs
+    for first in range(0, config.runs, chunk):
+        runs = execute_runs(config, threads, range(first, min(first + chunk, config.runs)))
+        if sink is not None:
+            write_runs_csv(runs, sink, first)
+        yield from runs
+        del runs  # before the next chunk is executed
+
+
 def _cmd_run(invocation: CliInvocation) -> int:
     config = invocation.config
     # Made before the first run, so an --out that cannot be a directory
     # fails at once, not after every run.
     invocation.out_dir.mkdir(parents=True, exist_ok=True)
-    runs = execute_runs(config, workers=invocation.threads)
-    summary = summarize_runs(config, runs)
-    runs_csv = None
-    # runs.csv is moved into place after the bundle is written, so a failed
-    # bundle write keeps the old runs.csv as well.
+    runs_csv = "runs.csv" if invocation.raw else None
+    # runs.csv is written while the runs are summarized, and moved into
+    # place after the bundle is written, so a failed run or bundle write
+    # keeps the old runs.csv as well.
     with ExitStack() as stack:
-        if invocation.raw:
-            runs_csv = "runs.csv"
+        sink = None
+        if runs_csv is not None:
             sink = stack.enter_context(atomic_writer(invocation.out_dir / runs_csv))
-            write_runs_csv(runs, sink)
+        summary = summarize_runs(config, _stream_runs(config, invocation.threads, sink))
+        if sink is not None:
             sink.flush()
         write_bundle(invocation.out_dir, "run", [summary], config, runs_csv=runs_csv)
     print(

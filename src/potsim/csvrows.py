@@ -156,10 +156,12 @@ def _csv_rows(fields: Sequence[np.ndarray]) -> bytes:
 CSV_HEADER = "run_id,participant_id,performance_factor,reward,wins,active_time_seconds,rank"
 
 
-def write_rows(runs: Sequence[RunResult], destination: IO[bytes]) -> int:
-    """Write the header and rows of runs.csv for runs of one population; returns the row count.
+def write_rows(runs: Sequence[RunResult], destination: IO[bytes], first_run: int = 0) -> int:
+    """Write rows of runs.csv for runs of one population; returns the row count.
 
-    run_id is set by position. The runs are stacked into groups of at most
+    run_id is ``first_run`` plus the run's position, and the header is written
+    before run 0's rows only, so a file written a chunk of runs at a time has
+    one header. The runs are stacked into groups of at most
     ``CSV_BLOCK_ROWS`` rows, and each group is ranked in one
     ``competition_ranks`` call; a run longer than a block is a group of its
     own, written in several blocks. Each block is one (rows, width) byte
@@ -171,7 +173,8 @@ def write_rows(runs: Sequence[RunResult], destination: IO[bytes]) -> int:
     populations = {len(run.cumulative_reward) for run in runs}
     if len(populations) > 1:
         raise ValueError(f"runs.csv takes runs of one population, got {sorted(populations)}")
-    destination.write(f"{CSV_HEADER}\n".encode("utf-8"))
+    if first_run == 0:
+        destination.write(f"{CSV_HEADER}\n".encode("utf-8"))
     n = max(populations, default=1)
     ids = _decimal_digits(np.arange(n + 1))  # digits of 0..n: participant ids and ranks
     group_runs = max(1, CSV_BLOCK_ROWS // n)
@@ -184,7 +187,7 @@ def write_rows(runs: Sequence[RunResult], destination: IO[bytes]) -> int:
             np.concatenate([getattr(run, name) for run in group])
             for name in ("factors", "win_count", "active_time")
         )
-        run_ids = _decimal_digits(np.arange(first, first + len(group)))
+        run_ids = _decimal_digits(np.arange(first, first + len(group)) + first_run)
         for start in range(0, len(rewards), CSV_BLOCK_ROWS):
             rows = np.arange(start, min(start + CSV_BLOCK_ROWS, len(rewards)))
             block = slice(start, start + len(rows))

@@ -12,7 +12,8 @@ import os
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from functools import cached_property
-from typing import Sequence
+from itertools import islice
+from typing import Iterable
 
 import numpy as np
 
@@ -158,17 +159,26 @@ def _shared_factors(config: ScenarioConfig) -> np.ndarray | None:
     return draw_performance_profile(config, stream)
 
 
-def execute_runs(config: ScenarioConfig, workers: int = 1) -> list[RunResult]:
-    """Execute config.runs independent runs, ordered by run index.
+def summary_chunk(config: ScenarioConfig) -> int:
+    """Runs summarized at a time: (runs, n) tables of at most the engine's block, or one run."""
+    return max(1, _BLOCK_ELEMENTS // config.participant_count)
 
-    ``workers`` > 1 fans runs out over a process pool of at most one process
-    per run and per CPU, in about four batches of runs per process, so every
-    process gets runs; results are identical at any worker count.
+
+def execute_runs(
+    config: ScenarioConfig, workers: int = 1, indices: range | None = None
+) -> list[RunResult]:
+    """Execute the runs numbered by ``indices`` (default: all config.runs), ordered by index.
+
+    A run depends only on config and its index, so runs executed a range at a
+    time equal the runs of one call. ``workers`` > 1 fans runs out over a
+    process pool of at most one process per run and per CPU, in about four
+    batches of runs per process, so every process gets runs; results are
+    identical at any worker count.
     """
     shared = _shared_factors(config)
     tasks = [
         (config, derive_run_seed(config.master_seed, index), shared)
-        for index in range(config.runs)
+        for index in (range(config.runs) if indices is None else indices)
     ]
     workers = min(workers, len(tasks), os.cpu_count() or 1)
     if workers <= 1:
@@ -181,27 +191,37 @@ def execute_runs(config: ScenarioConfig, workers: int = 1) -> list[RunResult]:
         return list(pool.map(_run_task, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
 
 
-def summarize_runs(config: ScenarioConfig, runs: Sequence[RunResult]) -> ScenarioSummary:
+def summarize_runs(config: ScenarioConfig, runs: Iterable[RunResult]) -> ScenarioSummary:
     """Tabulate each run's statistics, and the override's ranks, into a ScenarioSummary.
 
-    The (statistic, run) table is filled a chunk of runs at a time: each chunk's rewards,
-    factors and active times are stacked into (runs, n) tables of at most the engine's
-    block of elements, one call per statistic and chunk. A statistic undefined for a run
-    (zero variance, as after zero rounds) is NaN; the ranking is None without an override.
+    ``runs`` is consumed once, in order, ``summary_chunk(config)`` runs at a
+    time, so a generator of runs is summarized holding one chunk. Each chunk's
+    rewards, factors and active times are stacked into (runs, n) tables, one
+    call per statistic and chunk. A statistic undefined for a run (zero
+    variance, as after zero rounds) is NaN; the ranking is None without an
+    override. Any number of runs but config.runs raises ``ValueError``.
     """
-    chunk = max(1, _BLOCK_ELEMENTS // config.participant_count)
-    table = np.empty((len(STATISTICS), len(runs)))
+    chunk = summary_chunk(config)
+    table = np.empty((len(STATISTICS), config.runs))
     ranking = None
     if config.high_perf_override is not None:
         ranking = dict.fromkeys(RANKING_BUCKETS, 0)
-    for first in range(0, len(runs), chunk):
-        part = runs[first : first + chunk]
+    # One buffer holds every chunk's three (runs, n) tables: tables allocated
+    # afresh per chunk let the allocator give the freed chunk back to the
+    # system and fault it in again, chunk after chunk.
+    stacked = np.empty((3, min(chunk, config.runs), config.participant_count))
+    runs = iter(runs)
+    done = 0
+    while part := list(islice(runs, chunk)):
+        if done + len(part) > config.runs:
+            done += len(part) + sum(1 for _ in runs)
+            break
         rewards, factors, active_time = (
-            np.array([getattr(run, name) for run in part])
-            for name in ("cumulative_reward", "factors", "active_time")
+            np.stack([getattr(run, name) for run in part], out=out[: len(part)])
+            for name, out in zip(("cumulative_reward", "factors", "active_time"), stacked)
         )
         stats = distribution_stats(rewards)
-        table[:, first : first + len(part)] = [
+        table[:, done : done + len(part)] = [
             *(getattr(stats, field.name) for field in fields(stats)),
             skewness(rewards),
             excess_kurtosis(rewards),
@@ -211,6 +231,11 @@ def summarize_runs(config: ScenarioConfig, runs: Sequence[RunResult]) -> Scenari
         if ranking is not None:
             for bucket, count in ranking_histogram(rewards, config.high_perf_override[0]).items():
                 ranking[bucket] += count
+        done += len(part)
+        # Dropped before the next chunk is pulled, which may execute it.
+        del part
+    if done != config.runs:
+        raise ValueError(f"summarize_runs got {done} runs for a config of {config.runs} runs")
     return ScenarioSummary(config, dict(zip(STATISTICS, map(tuple, table.tolist()))), ranking)
 
 

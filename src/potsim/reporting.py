@@ -111,17 +111,19 @@ def emission_timestamp() -> str:
 # -- participant CSV ----------------------------------------------------------
 
 
-def write_runs_csv(runs: Sequence[RunResult], destination: IO[bytes]) -> int:
-    """Write runs of one population into one CSV, run_id column set by position.
+def write_runs_csv(runs: Sequence[RunResult], destination: IO[bytes], first_run: int = 0) -> int:
+    """Write runs of one population into one CSV, run_id ``first_run`` plus the run's position.
 
     Returns the number of rows; runs that differ in population raise
-    ``ValueError``. ``csvrows.write_rows`` writes the header and the rows.
+    ``ValueError``. ``csvrows.write_rows`` writes the rows, and the header
+    before run 0's, so consecutive chunks of runs written to one sink make one
+    file.
     """
     # Imported here, so that only a CSV write compiles the formatter and builds its tables.
     from .csvrows import write_rows
 
     try:
-        return write_rows(runs, destination)
+        return write_rows(runs, destination, first_run)
     except OSError as exc:
         raise OSError(f"participant CSV write failed: {exc}") from exc
 

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 import potsim
 from potsim import cli, experiments
 from potsim.cli import (
@@ -26,9 +28,9 @@ from potsim.cli import (
     parse_and_validate,
 )
 from potsim.core import ConfigurationError
-from potsim.experiments import execute_runs
+from potsim.experiments import execute_runs, summarize_runs, summary_chunk
 from potsim.metrics import RANKING_BUCKETS
-from potsim.reporting import load_bundle
+from potsim.reporting import load_bundle, write_bundle
 
 
 def read_tree(root: Path) -> dict[str, bytes]:
@@ -252,6 +254,10 @@ def run_args(tmp_path, *extra):
     ]
 
 
+# Runs of 1600 participants, summarized and written 10 runs at a time.
+STREAMED = ["run", "--participants", "1600", "--team-size", "8", "--rounds", "2"]
+
+
 def test_run_zero_rounds_succeeds(tmp_path, capsys):
     status = entrypoint(run_args(tmp_path, "--rounds", "0", "--raw"))
     assert status == 0
@@ -340,7 +346,7 @@ def test_runtime_error_exit_status(tmp_path, capsys):
 
 @pytest.mark.parametrize("detail", ["Unable to allocate 74.5 GiB", ""])
 def test_out_of_memory_exits_2_with_one_line(tmp_path, capsys, monkeypatch, detail):
-    def exhausted(config, workers=1):
+    def exhausted(config, workers=1, indices=None):
         raise MemoryError(*([detail] if detail else []))
 
     monkeypatch.setattr("potsim.cli.execute_runs", exhausted)
@@ -349,13 +355,36 @@ def test_out_of_memory_exits_2_with_one_line(tmp_path, capsys, monkeypatch, deta
     assert err.splitlines() == [f"error: out of memory{': ' + detail if detail else ''}"]
 
 
+def test_out_of_memory_in_a_later_chunk_replaces_no_file(tmp_path, capsys, monkeypatch):
+    # run writes runs.csv a chunk of runs at a time; a failure after the
+    # first chunk leaves the bundle already in --out as it was.
+    argv = [*STREAMED, "--runs", "25", "--out", str(tmp_path)]
+    assert entrypoint(argv) == 0
+    before = read_tree(tmp_path)
+    chunks = []
+
+    def exhausted_later(config, workers=1, indices=None):
+        chunks.append(indices)
+        if len(chunks) == 2:
+            raise MemoryError
+        return execute_runs(config, workers, indices)
+
+    monkeypatch.setattr(cli, "execute_runs", exhausted_later)
+    capsys.readouterr()
+    assert entrypoint([*argv, "--raw", "--seed", "6"]) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: out of memory"]
+    assert chunks == [range(0, 10), range(10, 20)]
+    assert not (tmp_path / "runs.csv").exists() and not list(tmp_path.rglob(".*.tmp"))
+    assert read_tree(tmp_path) == before
+
+
 @pytest.mark.parametrize("command", ["run", "sweep"])
 def test_out_naming_a_file_exits_2_before_any_run(tmp_path, capsys, monkeypatch, command):
     calls = []
 
-    def counted(config, workers=1):
+    def counted(config, workers=1, indices=None):
         calls.append(config)
-        return execute_runs(config, workers)
+        return execute_runs(config, workers, indices)
 
     monkeypatch.setattr(cli, "execute_runs", counted)
     monkeypatch.setattr(experiments, "execute_runs", counted)
@@ -625,6 +654,58 @@ def test_threads_do_not_change_output_files(tmp_path, monkeypatch):
     assert entrypoint(base + ["--threads", "1", "--out", str(single)]) == 0
     assert entrypoint(base + ["--threads", "8", "--out", str(pooled)]) == 0
     assert read_tree(single) == read_tree(pooled)
+
+
+@pytest.mark.parametrize(
+    "runs, flags",
+    [
+        (1, []),
+        (9, []),
+        (10, []),
+        (11, []),
+        (21, []),
+        (11, ["--homogeneous"]),
+        (11, ["--shared-profile"]),
+        (21, ["--threads", "2"]),
+    ],
+)
+def test_streamed_run_equals_the_whole_list_output(tmp_path, monkeypatch, runs, flags):
+    # run executes, summarizes and writes 10 runs of 1600 at a time; its files
+    # equal the row oracle and the summary of every run at once.
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
+    argv = [*STREAMED, "--runs", str(runs), "--raw", *flags]
+    assert entrypoint([*argv, "--out", str(tmp_path / "streamed")]) == 0
+    config = parse_and_validate(argv).config
+    assert summary_chunk(config) == 10
+    whole = execute_runs(config)
+    expected = tmp_path / "whole"
+    expected.mkdir()
+    write_bundle(expected, "run", [summarize_runs(config, whole)], config, runs_csv="runs.csv")
+    (expected / "runs.csv").write_bytes(oracles.csv_rows_oracle(whole))
+    assert read_tree(tmp_path / "streamed") == read_tree(expected)
+
+
+def test_run_memory_is_flat_in_the_number_of_runs(tmp_path, capsys):
+    # One chunk of runs is held at a time, about 51 KB a run at n = 1600;
+    # holding every run would add about 9 MiB at 200 runs.
+    def peak(runs):
+        argv = [*STREAMED, "--runs", str(runs), "--raw", "--out", str(tmp_path)]
+        tracemalloc.start()
+        try:
+            assert entrypoint(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1)  # imports the CSV writer and builds its tables
+    assert peak(200) - peak(20) <= 0.5 * 2**20
+
+
+def test_pooled_run_starts_one_pool(tmp_path, monkeypatch, serial_pool):
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+    argv = [*STREAMED, "--runs", "100", "--threads", "2", "--out", str(tmp_path)]
+    assert entrypoint(argv) == 0
+    assert serial_pool == [(2, 12)]
 
 
 def run_python(code: str, *args: str) -> subprocess.CompletedProcess:

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import concurrent.futures
 import math
 
 import numpy as np
@@ -133,29 +132,6 @@ def test_redrawn_profiles_differ():
     )
     runs = execute_runs(cfg)
     assert not np.array_equal(runs[0].factors, runs[1].factors)
-
-
-@pytest.fixture
-def serial_pool(monkeypatch):
-    """Stands in for ProcessPoolExecutor: records (pool size, chunksize), runs tasks here."""
-    calls = []
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            self.size = max_workers
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks, chunksize=1):
-            calls.append((self.size, chunksize))
-            return map(fn, tasks)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-    return calls
 
 
 @pytest.mark.parametrize(

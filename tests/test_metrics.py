@@ -4,7 +4,7 @@ import math
 import subprocess
 import sys
 import warnings
-from dataclasses import astuple
+from dataclasses import astuple, replace
 from pathlib import Path
 from unittest import mock
 
@@ -339,7 +339,7 @@ def test_aggregate_single_is_identity():
 def test_aggregate_averages_fieldwise():
     a = make_run([0.0, 10.0, 20.0, 590.0])
     b = make_run([0.0, 0.0, 30.0, 600.0])
-    merged = summarize_runs(SUMMARY_CONFIG, [a, b])
+    merged = summarize_runs(replace(SUMMARY_CONFIG, runs=2), [a, b])
     assert merged.reward_stats.max == 595
     assert merged.reward_stats.min == 0
     assert merged.reward_stats.mean == (155 + 157.5) / 2
@@ -347,7 +347,7 @@ def test_aggregate_averages_fieldwise():
 
 def test_aggregate_mean_of_constant_means():
     runs = [make_run([10.0 - i, 10.0, 10.0, 10.0 + i]) for i in range(100)]
-    summary = summarize_runs(SUMMARY_CONFIG, runs)
+    summary = summarize_runs(replace(SUMMARY_CONFIG, runs=100), runs)
     assert summary.reward_stats.mean == pytest.approx(10, rel=1e-12)
 
 
@@ -359,7 +359,16 @@ def test_aggregate_reals_and_shapes():
     runs = [make_run(rng.uniform(0, 100, 4), active=rng.uniform(0, 1e6, 4)) for _ in range(150)]
     columns = zip(*(per_run_values(run) for run in runs))
     expected = [float(np.mean(column)) for column in columns]
-    assert summary_values(summarize_runs(SUMMARY_CONFIG, runs)) == expected
+    assert summary_values(summarize_runs(replace(SUMMARY_CONFIG, runs=150), runs)) == expected
+
+
+@pytest.mark.parametrize("given", [2, 4])
+def test_summarize_rejects_any_count_but_config_runs(given):
+    # A summary of another number of runs than its config says is one that
+    # load_bundle rejects, so it is never made.
+    runs = (make_run([0.0, 1.0, 2.0, 3.0]) for _ in range(given))
+    with pytest.raises(ValueError, match=f"got {given} runs for a config of 3 runs"):
+        summarize_runs(replace(SUMMARY_CONFIG, runs=3), runs)
 
 
 def frozen_column(run) -> list[float]:
