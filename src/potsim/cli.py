@@ -28,7 +28,6 @@ from .experiments import (
     execute_runs,
     summarize_runs,
     summary_chunk,
-    sweep_team_sizes,
 )
 from .reporting import (
     TABLE_IDS,
@@ -254,11 +253,7 @@ def parse_and_validate(arguments: list[str]) -> CliInvocation:
 
     if args.subcommand == "run":
         return CliInvocation(
-            subcommand="run",
-            config=config,
-            threads=args.threads,
-            out_dir=out_dir,
-            raw=args.raw,
+            subcommand="run", config=config, threads=args.threads, out_dir=out_dir, raw=args.raw
         )
 
     team_sizes = _parse_list(args.team_sizes, "--team-sizes", int, "integer")
@@ -281,7 +276,7 @@ def _stream_runs(
 
     Each chunk's rows go to ``sink`` (runs.csv) unless it is None. One chunk
     is held at a time; with more than one thread the scenario is one chunk,
-    so the command starts one pool.
+    so each scenario starts one pool.
     """
     chunk = summary_chunk(config) if threads == 1 else config.runs
     for first in range(0, config.runs, chunk):
@@ -292,43 +287,36 @@ def _stream_runs(
         del runs  # before the next chunk is executed
 
 
-def _cmd_run(invocation: CliInvocation) -> int:
-    config = invocation.config
+# Each scenario's stdout line, by subcommand, from its summary s.
+_SCENARIO_LINES = {
+    "run": "{label}: {s.config_echo.runs} runs x {s.config_echo.rounds} rounds, "
+    "mean reward {s.reward_stats.mean:.4f}, total active time {time:.2f}e6 s",
+    "sweep": "{label:<10} {s.condition.value:<12} std {s.reward_stats.std_dev:>8.2f}  "
+    "time {time:>9.2f}e6 s",
+}
+
+
+def _cmd_scenarios(invocation: CliInvocation) -> int:
+    """run or sweep: stream and summarize each scenario in turn, then write one bundle."""
+    configs = (invocation.config,) if invocation.sweep is None else invocation.sweep.configs
+    out, kind = invocation.out_dir, invocation.subcommand
     # Made before the first run, so an --out that cannot be a directory
     # fails at once, not after every run.
-    invocation.out_dir.mkdir(parents=True, exist_ok=True)
+    out.mkdir(parents=True, exist_ok=True)
     runs_csv = "runs.csv" if invocation.raw else None
     # runs.csv is written while the runs are summarized, and moved into
     # place after the bundle is written, so a failed run or bundle write
     # keeps the old runs.csv as well.
     with ExitStack() as stack:
-        sink = None
-        if runs_csv is not None:
-            sink = stack.enter_context(atomic_writer(invocation.out_dir / runs_csv))
-        summary = summarize_runs(config, _stream_runs(config, invocation.threads, sink))
+        sink = None if runs_csv is None else stack.enter_context(atomic_writer(out / runs_csv))
+        summaries = [summarize_runs(c, _stream_runs(c, invocation.threads, sink)) for c in configs]
         if sink is not None:
             sink.flush()
-        write_bundle(invocation.out_dir, "run", [summary], config, runs_csv=runs_csv)
-    print(
-        f"{summary_label(summary)}: {config.runs} runs x {config.rounds} rounds, "
-        f"mean reward {summary.reward_stats.mean:.4f}, "
-        f"total active time {summary.total_active_time_mean / 1e6:.2f}e6 s"
-    )
-    print(f"wrote {invocation.out_dir}")
-    return 0
-
-
-def _cmd_sweep(invocation: CliInvocation) -> int:
-    invocation.out_dir.mkdir(parents=True, exist_ok=True)
-    summaries = sweep_team_sizes(invocation.sweep, workers=invocation.threads)
-    write_bundle(invocation.out_dir, "sweep", summaries, invocation.sweep.base_config)
+        write_bundle(out, kind, summaries, invocation.config, runs_csv=runs_csv)
     for summary in summaries:
-        print(
-            f"{summary_label(summary):<10} {summary.condition.value:<12} "
-            f"std {summary.reward_stats.std_dev:>8.2f}  "
-            f"time {summary.total_active_time_mean / 1e6:>9.2f}e6 s"
-        )
-    print(f"wrote {invocation.out_dir}")
+        time = summary.total_active_time_mean / 1e6
+        print(_SCENARIO_LINES[kind].format(label=summary_label(summary), s=summary, time=time))
+    print(f"wrote {out}")
     return 0
 
 
@@ -353,11 +341,9 @@ def _cmd_report(invocation: CliInvocation) -> int:
 
 def main(invocation: CliInvocation) -> int:
     """Dispatch a validated invocation; returns the process exit status."""
-    if invocation.subcommand == "run":
-        return _cmd_run(invocation)
-    if invocation.subcommand == "sweep":
-        return _cmd_sweep(invocation)
-    return _cmd_report(invocation)
+    if invocation.subcommand == "report":
+        return _cmd_report(invocation)
+    return _cmd_scenarios(invocation)
 
 
 def entrypoint(argv: list[str] | None = None) -> int:

@@ -6,6 +6,7 @@ a CSV write pays for compiling it and for building its lookup tables.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import IO, Sequence
 
 import numpy as np
@@ -140,6 +141,12 @@ def _decimal_digits(values: np.ndarray) -> np.ndarray:
     return text
 
 
+@lru_cache(maxsize=1)
+def _participant_digits(n: int) -> np.ndarray:
+    """Digits of 0..n, the participant ids and ranks of a population of n, built once per n."""
+    return _decimal_digits(np.arange(n + 1))
+
+
 def _csv_rows(fields: Sequence[np.ndarray]) -> bytes:
     """CSV rows of the fields' NUL-padded texts, with the NULs dropped (no CSV byte is NUL)."""
     widths = [field.shape[1] for field in fields]
@@ -176,7 +183,7 @@ def write_rows(runs: Sequence[RunResult], destination: IO[bytes], first_run: int
     if first_run == 0:
         destination.write(f"{CSV_HEADER}\n".encode("utf-8"))
     n = max(populations, default=1)
-    ids = _decimal_digits(np.arange(n + 1))  # digits of 0..n: participant ids and ranks
+    ids = _participant_digits(n)
     group_runs = max(1, CSV_BLOCK_ROWS // n)
     for first in range(0, len(runs), group_runs):
         group = runs[first : first + group_runs]

@@ -381,10 +381,14 @@ def write_bundle(
     write_files([(out_dir / "manifest.json", json_bytes(manifest)), *files.items()])
 
 
+def _no_constant(name: str):
+    raise ValueError(f"non-standard JSON value {name}; an undefined value is null")
+
+
 def _read_json_object(path: Path, parse):
     """parse() of the JSON object in path; malformed content is a ValueError naming the file."""
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
+        data = json.loads(path.read_text(encoding="utf-8"), parse_constant=_no_constant)
         if not isinstance(data, dict):
             raise TypeError(f"expected a JSON object, got {type(data).__name__}")
         return parse(data)

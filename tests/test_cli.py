@@ -28,7 +28,7 @@ from potsim.cli import (
     parse_and_validate,
 )
 from potsim.core import ConfigurationError
-from potsim.experiments import execute_runs, summarize_runs, summary_chunk
+from potsim.experiments import execute_runs, summarize_runs, summary_chunk, sweep_team_sizes
 from potsim.metrics import RANKING_BUCKETS
 from potsim.reporting import load_bundle, write_bundle
 
@@ -220,7 +220,6 @@ def test_bad_source_date_epoch_exits_1_before_any_run(monkeypatch, tmp_path, cap
         raise AssertionError("ran before SOURCE_DATE_EPOCH was checked")
 
     monkeypatch.setattr(cli, "execute_runs", no_run)
-    monkeypatch.setattr(cli, "sweep_team_sizes", no_run)
     monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
     out = tmp_path / "out"
     assert entrypoint([command, "--ci-scale", "--out", str(out)]) == 1
@@ -473,6 +472,13 @@ def _per_run_entry(name, index, value):
     return edit
 
 
+def _undefined_skewness(summary):
+    """Run 0's skewness and so the mean as bare NaN, which json.dumps writes by default."""
+    summary["per_run"]["skewness"][0] = math.nan
+    summary["shape_stats"]["skewness"] = math.nan
+    return summary
+
+
 def _list_copy(tmp_path, name):
     """List a copy of the run's summary as ``name`` in the manifest; returns the copy's path."""
     manifest_path = tmp_path / "manifest.json"
@@ -546,6 +552,9 @@ BAD_BUNDLES = [
      "key 'ranking' must be null without a high_perf_override, got {'1': 3, "),
     ("ranking", _set("ranking", None),
      "key 'ranking' must be an object with a high_perf_override, got None"),
+    # Undefined values are written as null; NaN and Infinity are not JSON.
+    ("summary", _undefined_skewness, "non-standard JSON value NaN"),
+    ("manifest", _set("created_utc", math.inf), "non-standard JSON value Infinity"),
 ]
 
 
@@ -561,7 +570,8 @@ BAD_BUNDLES = [
          "copy_under_second_name", "no_per_run", "short_per_run_list", "unequal_per_run_lists",
          "string_per_run_entry", "bool_per_run_entry", "missing_statistic", "huge_int_entry",
          "edited_reward_mean", "other_condition", "other_label", "ranking_counts_not_runs",
-         "ranking_without_override", "null_ranking_with_override"],
+         "ranking_without_override", "null_ranking_with_override", "bare_nan_statistic",
+         "bare_infinity_in_manifest"],
 )
 def test_malformed_bundle_exits_2_with_one_line(tmp_path, capsys, target, edit, message):
     if target == "ranking":
@@ -685,20 +695,54 @@ def test_streamed_run_equals_the_whole_list_output(tmp_path, monkeypatch, runs, 
     assert read_tree(tmp_path / "streamed") == read_tree(expected)
 
 
+def _peak_memory(argv):
+    """The tracemalloc peak of one command, which must succeed."""
+    tracemalloc.start()
+    try:
+        assert entrypoint(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_run_memory_is_flat_in_the_number_of_runs(tmp_path, capsys):
     # One chunk of runs is held at a time, about 51 KB a run at n = 1600;
     # holding every run would add about 9 MiB at 200 runs.
     def peak(runs):
-        argv = [*STREAMED, "--runs", str(runs), "--raw", "--out", str(tmp_path)]
-        tracemalloc.start()
-        try:
-            assert entrypoint(argv) == 0
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        return _peak_memory([*STREAMED, "--runs", str(runs), "--raw", "--out", str(tmp_path)])
 
     peak(1)  # imports the CSV writer and builds its tables
     assert peak(200) - peak(20) <= 0.5 * 2**20
+
+
+# A sweep of two scenarios of 1600 participants, each streamed 10 runs at a time.
+SWEPT = ["sweep", "--participants", "1600", "--team-sizes", "1,8", "--rounds", "2"]
+
+
+def test_sweep_memory_is_flat_in_the_number_of_runs(tmp_path, capsys):
+    # Each scenario holds one chunk of runs at a time, as run does.
+    def peak(runs):
+        return _peak_memory([*SWEPT, "--runs", str(runs), "--out", str(tmp_path)])
+
+    peak(1)
+    assert peak(200) - peak(20) <= 0.5 * 2**20
+
+
+@pytest.mark.parametrize(
+    "runs, flags",
+    [(1, []), (10, []), (11, []), (21, []), (21, ["--threads", "2"])],
+)
+def test_streamed_sweep_equals_the_whole_list_output(tmp_path, monkeypatch, runs, flags):
+    # Both conditions, so the high_perf scenarios' rankings are streamed too.
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
+    argv = [*SWEPT, "--high-perf-id", "1000", "--runs", str(runs), *flags]
+    assert entrypoint([*argv, "--out", str(tmp_path / "streamed")]) == 0
+    spec = parse_and_validate(argv).sweep
+    assert len(spec.configs) == 4 and summary_chunk(spec.configs[0]) == 10
+    expected = tmp_path / "whole"
+    expected.mkdir()
+    write_bundle(expected, "sweep", sweep_team_sizes(spec), spec.base_config)
+    assert read_tree(tmp_path / "streamed") == read_tree(expected)
 
 
 def test_pooled_run_starts_one_pool(tmp_path, monkeypatch, serial_pool):
