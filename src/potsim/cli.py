@@ -22,13 +22,7 @@ from typing import IO, Iterator
 
 from . import __version__
 from .core import ConfigurationError, RunResult, ScenarioConfig
-from .experiments import (
-    Condition,
-    SweepSpec,
-    execute_runs,
-    summarize_runs,
-    summary_chunk,
-)
+from .experiments import Condition, SweepSpec, execute_runs, run_chunks, summarize_runs
 from .reporting import (
     TABLE_IDS,
     atomic_writer,
@@ -272,17 +266,15 @@ def parse_and_validate(arguments: list[str]) -> CliInvocation:
 def _stream_runs(
     config: ScenarioConfig, threads: int, sink: IO[bytes] | None
 ) -> Iterator[RunResult]:
-    """Every run of config in order, executed a summary chunk of runs at a time.
+    """Every run of config in order, executed one ``run_chunks`` range at a time.
 
-    Each chunk's rows go to ``sink`` (runs.csv) unless it is None. One chunk
-    is held at a time; with more than one thread the scenario is one chunk,
-    so each scenario starts one pool.
+    Each chunk's rows go to ``sink`` (runs.csv) unless it is None. One chunk is held at a
+    time. ``execute_runs`` and ``write_runs_csv`` are looked up here, where the tracer wraps them.
     """
-    chunk = summary_chunk(config) if threads == 1 else config.runs
-    for first in range(0, config.runs, chunk):
-        runs = execute_runs(config, threads, range(first, min(first + chunk, config.runs)))
+    for indices in run_chunks(config, threads):
+        runs = execute_runs(config, threads, indices)
         if sink is not None:
-            write_runs_csv(runs, sink, first)
+            write_runs_csv(runs, sink, indices.start)
         yield from runs
         del runs  # before the next chunk is executed
 

@@ -12,7 +12,7 @@ import os
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from functools import cached_property
-from itertools import islice
+from itertools import chain, islice
 from typing import Iterable
 
 import numpy as np
@@ -159,9 +159,14 @@ def _shared_factors(config: ScenarioConfig) -> np.ndarray | None:
     return draw_performance_profile(config, stream)
 
 
-def summary_chunk(config: ScenarioConfig) -> int:
-    """Runs summarized at a time: (runs, n) tables of at most the engine's block, or one run."""
-    return max(1, _BLOCK_ELEMENTS // config.participant_count)
+def run_chunks(config: ScenarioConfig, workers: int = 1) -> list[range]:
+    """The run-index ranges a scenario is executed and summarized in, in order.
+
+    At one worker each holds ``max(1, 2**14 // n)`` runs, (runs, n) tables of at most the
+    engine's block; above one worker one range holds every run, so a scenario starts one pool.
+    """
+    size = config.runs if workers > 1 else max(1, _BLOCK_ELEMENTS // config.participant_count)
+    return [range(first, min(first + size, config.runs)) for first in range(0, config.runs, size)]
 
 
 def execute_runs(
@@ -194,34 +199,35 @@ def execute_runs(
 def summarize_runs(config: ScenarioConfig, runs: Iterable[RunResult]) -> ScenarioSummary:
     """Tabulate each run's statistics, and the override's ranks, into a ScenarioSummary.
 
-    ``runs`` is consumed once, in order, ``summary_chunk(config)`` runs at a
+    ``runs`` is consumed once, in order, a ``run_chunks(config)`` range at a
     time, so a generator of runs is summarized holding one chunk. Each chunk's
     rewards, factors and active times are stacked into (runs, n) tables, one
     call per statistic and chunk. A statistic undefined for a run (zero
     variance, as after zero rounds) is NaN; the ranking is None without an
-    override. Any number of runs but config.runs raises ``ValueError``.
+    override. Any number of runs but config.runs raises ``ValueError``, a
+    surplus as soon as the first run past config.runs is read.
     """
-    chunk = summary_chunk(config)
+    chunks = run_chunks(config)
     table = np.empty((len(STATISTICS), config.runs))
     ranking = None
     if config.high_perf_override is not None:
         ranking = dict.fromkeys(RANKING_BUCKETS, 0)
-    # One buffer holds every chunk's three (runs, n) tables: tables allocated
-    # afresh per chunk let the allocator give the freed chunk back to the
-    # system and fault it in again, chunk after chunk.
-    stacked = np.empty((3, min(chunk, config.runs), config.participant_count))
+    # One buffer holds every chunk's three (runs, n) tables: tables allocated afresh per chunk
+    # let the allocator give the freed chunk back to the system and fault it in again.
+    stacked = np.empty((3, len(chunks[0]), config.participant_count))
     runs = iter(runs)
     done = 0
-    while part := list(islice(runs, chunk)):
-        if done + len(part) > config.runs:
-            done += len(part) + sum(1 for _ in runs)
+    for indices in chunks:
+        part = list(islice(runs, len(indices)))
+        done += len(part)
+        if done < indices.stop:
             break
         rewards, factors, active_time = (
             np.stack([getattr(run, name) for run in part], out=out[: len(part)])
             for name, out in zip(("cumulative_reward", "factors", "active_time"), stacked)
         )
         stats = distribution_stats(rewards)
-        table[:, done : done + len(part)] = [
+        table[:, indices.start : indices.stop] = [
             *(getattr(stats, field.name) for field in fields(stats)),
             skewness(rewards),
             excess_kurtosis(rewards),
@@ -231,17 +237,19 @@ def summarize_runs(config: ScenarioConfig, runs: Iterable[RunResult]) -> Scenari
         if ranking is not None:
             for bucket, count in ranking_histogram(rewards, config.high_perf_override[0]).items():
                 ranking[bucket] += count
-        done += len(part)
         # Dropped before the next chunk is pulled, which may execute it.
         del part
+    else:  # one surplus run rejects the stream, and no run after it is executed
+        done += len(list(islice(runs, 1)))
     if done != config.runs:
         raise ValueError(f"summarize_runs got {done} runs for a config of {config.runs} runs")
     return ScenarioSummary(config, dict(zip(STATISTICS, map(tuple, table.tolist()))), ranking)
 
 
 def execute_scenario(config: ScenarioConfig, workers: int = 1) -> ScenarioSummary:
-    """Run one scenario end to end and summarize it."""
-    return summarize_runs(config, execute_runs(config, workers=workers))
+    """Run one scenario and summarize it, holding one ``run_chunks`` range of runs at a time."""
+    chunks = (execute_runs(config, workers, indices) for indices in run_chunks(config, workers))
+    return summarize_runs(config, chain.from_iterable(chunks))
 
 
 def scenario_config(

@@ -8,7 +8,9 @@ numpy supplies only the random streams the engine's contract names.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -167,3 +169,48 @@ def contract_v4_run(participant_count, team_size, rounds, run_seed, work_time,
             wins[member] += 1
         active = [a + x for a, x in zip(active, times)]
     return wins, active, tied
+
+
+def two_team_win_probabilities(factors, multiplier_range):
+    """Each participant's exact chance to be on the winning team of two teams of n/2.
+
+    Member i's time is proportional to m_i / f_i, each m_i independently
+    uniform on multiplier_range [lo, hi); a team's time is its members' sum and
+    the lower sum wins. Team A wins with P(sum_A - sum_B < 0). With U_i uniform
+    on [0, 1), a member of A adds lo/f_i + w_i U_i and a member of B adds
+    -hi/f_i + w_i (1 - U_i), w_i = (hi - lo)/f_i, so the difference is a shift
+    c plus S = sum_i w_i U_i, and P = F(-c) for the CDF of a sum of k = n
+    independent uniforms, an inclusion-exclusion over the 2^k corners:
+
+        F(t) = sum over subsets J of (-1)^|J| max(0, t - sum_J w)^k / (k! prod w).
+
+    The alternating sum cancels heavily, so it is evaluated in Fractions (a
+    float is an exact rational) and rounded once per participant. A uniform
+    order cut into two teams makes each of the C(n, n/2) / 2 partitions
+    equally likely; a participant's probability is the mean over them.
+    """
+    lo, hi = (Fraction(x) for x in multiplier_range)
+    inverse = [1 / Fraction(f) for f in factors]
+    n = len(inverse)
+    widths = [(hi - lo) * v for v in inverse]
+    scale = math.factorial(n) * math.prod(widths)
+    corners = [
+        (len(subset), sum((widths[i] for i in subset), Fraction(0)))
+        for size in range(n + 1)
+        for subset in itertools.combinations(range(n), size)
+    ]
+
+    def team_a_wins(team_a):
+        t = -sum(lo * v if i in team_a else -hi * v for i, v in enumerate(inverse))
+        return sum(
+            (-1) ** size * (t - reach) ** n for size, reach in corners if t > reach
+        ) / scale
+
+    # The partitions listed by the team that holds participant 0.
+    partitions = [set(c) for c in itertools.combinations(range(n), n // 2) if 0 in c]
+    totals = [Fraction(0)] * n
+    for team_a in partitions:
+        p = team_a_wins(team_a)
+        for i in range(n):
+            totals[i] += p if i in team_a else 1 - p
+    return [float(total / len(partitions)) for total in totals]

@@ -69,9 +69,11 @@ def homogeneous_sweep():
 def high_perf_scenarios():
     """The high-performance sweep, keeping the override node's per-run wins.
 
-    Each scenario is composed exactly as ``sweep_team_sizes`` composes it
-    (``scenario_config``, then ``execute_runs``, then ``summarize_runs``),
-    so the summaries are the ones the sweep returns.
+    Each scenario is composed as ``sweep_team_sizes`` composes it
+    (``scenario_config``, then ``execute_scenario``), except that every run
+    is executed in one list before ``summarize_runs``, so the per-run wins
+    can be read; a summary of every run at once equals the streamed one, so
+    the summaries are the ones the sweep returns.
     """
     base = paper_config()
     node = base.high_perf_override[0]

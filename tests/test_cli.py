@@ -28,9 +28,9 @@ from potsim.cli import (
     parse_and_validate,
 )
 from potsim.core import ConfigurationError
-from potsim.experiments import execute_runs, summarize_runs, summary_chunk, sweep_team_sizes
+from potsim.experiments import execute_runs, run_chunks, summarize_runs
 from potsim.metrics import RANKING_BUCKETS
-from potsim.reporting import load_bundle, write_bundle
+from potsim.reporting import load_bundle, write_bundle, write_runs_csv
 
 
 def read_tree(root: Path) -> dict[str, bytes]:
@@ -686,7 +686,7 @@ def test_streamed_run_equals_the_whole_list_output(tmp_path, monkeypatch, runs, 
     argv = [*STREAMED, "--runs", str(runs), "--raw", *flags]
     assert entrypoint([*argv, "--out", str(tmp_path / "streamed")]) == 0
     config = parse_and_validate(argv).config
-    assert summary_chunk(config) == 10
+    assert run_chunks(config) == [range(i, min(i + 10, runs)) for i in range(0, runs, 10)]
     whole = execute_runs(config)
     expected = tmp_path / "whole"
     expected.mkdir()
@@ -738,11 +738,41 @@ def test_streamed_sweep_equals_the_whole_list_output(tmp_path, monkeypatch, runs
     argv = [*SWEPT, "--high-perf-id", "1000", "--runs", str(runs), *flags]
     assert entrypoint([*argv, "--out", str(tmp_path / "streamed")]) == 0
     spec = parse_and_validate(argv).sweep
-    assert len(spec.configs) == 4 and summary_chunk(spec.configs[0]) == 10
+    assert len(spec.configs) == 4
+    assert run_chunks(spec.configs[0]) == [range(i, min(i + 10, runs)) for i in range(0, runs, 10)]
     expected = tmp_path / "whole"
     expected.mkdir()
-    write_bundle(expected, "sweep", sweep_team_sizes(spec), spec.base_config)
+    whole = [summarize_runs(c, execute_runs(c)) for c in spec.configs]
+    write_bundle(expected, "sweep", whole, spec.base_config)
     assert read_tree(tmp_path / "streamed") == read_tree(expected)
+
+
+@pytest.mark.parametrize(
+    "flags, chunks",
+    [([], [range(0, 10), range(10, 20), range(20, 21)]), (["--threads", "2"], [range(0, 21)])],
+)
+def test_run_executes_and_writes_through_cli_a_chunk_at_a_time(
+    tmp_path, monkeypatch, serial_pool, flags, chunks
+):
+    # The benchmark's tracer wraps cli.execute_runs and cli.write_runs_csv,
+    # and collects the workers' spans from each execute_runs call, so run
+    # calls both through cli, one run_chunks range at a time.
+    executed, written = [], []
+
+    def execute(config, workers=1, indices=None):
+        executed.append(indices)
+        return execute_runs(config, workers, indices)
+
+    def write(runs, sink, first_run=0):
+        written.append(first_run)
+        return write_runs_csv(runs, sink, first_run)
+
+    monkeypatch.setattr(cli, "execute_runs", execute)
+    monkeypatch.setattr(cli, "write_runs_csv", write)
+    argv = ["run", "--participants", "1600", "--rounds", "2", "--runs", "21", "--raw", *flags]
+    assert entrypoint([*argv, "--out", str(tmp_path)]) == 0
+    assert executed == chunks
+    assert written == [indices.start for indices in chunks]
 
 
 def test_pooled_run_starts_one_pool(tmp_path, monkeypatch, serial_pool):

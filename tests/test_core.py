@@ -492,6 +492,52 @@ def test_expected_total_time_law():
     assert abs(per_slot - expected) / expected < 0.02
 
 
+def test_two_team_win_law_check_value():
+    # The n = 4 check value; a 2M-sample Monte Carlo agreed to 4 places.
+    exact = oracles.two_team_win_probabilities((0.8, 1.0, 1.2, 1.5), (0.8, 1.2))
+    assert [round(p, 5) for p in exact] == [0.12977, 0.53690, 0.55616, 0.77717]
+    assert math.fsum(exact) == pytest.approx(2, abs=1e-12)
+
+
+# Rounds, seeds and bound were fixed before the test's first run.
+WIN_LAW_ROUNDS = 200_000
+WIN_LAW_Z_BOUND = 4.5
+
+
+@pytest.mark.parametrize(
+    "factors, run_seed",
+    [
+        ((0.8, 1.0, 1.2, 1.5), 101),
+        ((0.85, 0.95, 1.05, 1.15, 1.3, 1.45), 102),
+        ((0.8, 0.9, 1.0, 1.1, 1.2, 1.3, 1.4, 2.5), 103),
+    ],
+    ids=["n4", "n6", "n8_override"],
+)
+def test_two_team_win_frequencies_follow_the_exact_law(factors, run_seed):
+    """Win counts at n = 2N follow the exact two-team law, whatever the stream contract.
+
+    Each round's wins of one participant are a Bernoulli draw of its exact
+    probability p (``oracles.two_team_win_probabilities``), independent
+    across rounds, so over R = 200,000 rounds z = (wins - R p) / sqrt(R p (1 - p))
+    is standard normal to within the binomial's normal approximation
+    (R p (1 - p) is over 20,000 here). The engine's 2**-32 multiplier grid
+    moves p by about 1e-9, far below its SE of about 1e-3. The three cases
+    make 4 + 6 + 8 = 18 comparisons; by Bonferroni a correct engine fails
+    any of them with probability at most 18 * P(|Z| > 4.5) = 1.2e-4. A
+    team formation that keeps 2 random key bits and breaks ties by index,
+    with no fallback, gives a largest |z| of 32, 42 and 61 in the three cases.
+    """
+    n = len(factors)
+    cfg = config(participant_count=n, team_size=n // 2, rounds=WIN_LAW_ROUNDS)
+    wins = run_simulation(cfg, run_seed, factors=np.array(factors)).win_count.tolist()
+    exact = oracles.two_team_win_probabilities(factors, cfg.multiplier_range)
+    z = [
+        (won - WIN_LAW_ROUNDS * p) / math.sqrt(WIN_LAW_ROUNDS * p * (1 - p))
+        for won, p in zip(wins, exact)
+    ]
+    assert max(map(abs, z)) <= WIN_LAW_Z_BOUND, z
+
+
 @pytest.mark.parametrize(
     "participants, team_size, rounds, shared",
     [

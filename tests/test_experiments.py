@@ -1,13 +1,14 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import oracles
 from potsim import experiments
-from potsim.core import ConfigurationError, ScenarioConfig
+from potsim.core import ConfigurationError, RunResult, ScenarioConfig
 from potsim.experiments import (
     Condition,
     SweepSpec,
@@ -15,6 +16,7 @@ from potsim.experiments import (
     execute_runs,
     execute_scenario,
     mix64,
+    run_chunks,
     scenario_config,
     summarize_runs,
     sweep_team_sizes,
@@ -204,6 +206,66 @@ def test_summarize_calls_each_statistic_once_per_chunk(monkeypatch, participants
     summarize_runs(cfg, execute_runs(cfg))
     chunk = max(1, experiments._BLOCK_ELEMENTS // participants)
     assert calls == dict.fromkeys(STATISTIC_NAMES, math.ceil(runs / chunk))
+
+
+@pytest.mark.parametrize(
+    "participants, runs, workers, chunks",
+    [
+        (1600, 21, 1, [range(0, 10), range(10, 20), range(20, 21)]),
+        (1600, 10, 1, [range(0, 10)]),
+        (1600, 21, 2, [range(0, 21)]),
+        (160, 250, 1, [range(0, 102), range(102, 204), range(204, 250)]),
+        (20000, 2, 1, [range(0, 1), range(1, 2)]),
+    ],
+)
+def test_run_chunks(participants, runs, workers, chunks):
+    # 2**14 // n runs at a time at one worker, every run at once above it.
+    cfg = ScenarioConfig(participant_count=participants, team_size=1, rounds=1, runs=runs)
+    assert run_chunks(cfg, workers) == chunks
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_streamed_scenario_equals_the_summary_of_every_run(workers):
+    cfg = ScenarioConfig(
+        participant_count=1600, team_size=8, rounds=2, runs=21, high_perf_override=(7, 2.5)
+    )
+    assert execute_scenario(cfg, workers) == summarize_runs(cfg, execute_runs(cfg))
+
+
+def test_scenario_memory_is_flat_in_the_number_of_runs():
+    # execute_scenario holds one chunk of 10 runs at a time, about 51 KB a
+    # run at n = 1600; holding every run would add about 9 MiB at 200 runs.
+    def peak(runs):
+        tracemalloc.start()
+        try:
+            execute_scenario(
+                ScenarioConfig(participant_count=1600, team_size=8, rounds=2, runs=runs)
+            )
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1)
+    assert peak(200) - peak(20) <= 0.5 * 2**20
+
+
+def test_summarize_stops_at_the_first_surplus_run():
+    # A stream of more runs than config.runs is rejected after the chunk that
+    # passes config.runs, not after executing every remaining run.
+    n = 1600
+    run = RunResult(np.zeros(n), np.zeros(n, dtype=np.int64), np.zeros(n), np.ones(n))
+    pulled = 0
+
+    def stream():
+        nonlocal pulled
+        for _ in range(1000):
+            pulled += 1
+            yield run
+
+    cfg = ScenarioConfig(participant_count=n, team_size=8, rounds=0, runs=3)
+    with pytest.raises(ValueError, match="for a config of 3 runs"):
+        summarize_runs(cfg, stream())
+    assert pulled <= 3 + 10
 
 
 # -- sweeps -----------------------------------------------------------------------
