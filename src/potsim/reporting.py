@@ -112,12 +112,13 @@ def emission_timestamp() -> str:
 
 
 def write_runs_csv(runs: Sequence[RunResult], destination: IO[bytes], first_run: int = 0) -> int:
-    """Write runs of one population into one CSV, run_id ``first_run`` plus the run's position.
+    """Write the runs of one scenario into one CSV, run_id ``first_run`` plus the run's position.
 
-    Returns the number of rows; runs that differ in population raise
-    ``ValueError``. ``csvrows.write_rows`` writes the rows, and the header
-    before run 0's, so consecutive chunks of runs written to one sink make one
-    file.
+    Returns the number of rows. Runs of two populations, or whose rewards are
+    not one increasing function of their wins (as runs of two scenarios can
+    be), raise ``ValueError``. ``csvrows.write_rows`` writes the rows, and the
+    header before run 0's, so consecutive chunks of runs written to one sink
+    make one file.
     """
     # Imported here, so that only a CSV write compiles the formatter and builds its tables.
     from .csvrows import write_rows

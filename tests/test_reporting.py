@@ -130,6 +130,18 @@ CSV_ORACLE_CASES = {
     "team_size_1_override_many_runs": dict(team_size=1, high_perf_override=(5, 2.5), runs=600),
     "zero_rounds_many_runs": dict(rounds=0, runs=600),
     "exponent_form_many_runs": dict(base_time=1e9, reward_per_round=1e-7, runs=600),
+    # Rewards, wins and ranks are keyed by win count: wins above the population
+    # reach past the participant ids' digits (and, over many runs, are ranked
+    # by sorting rather than counting), a share of 10/64 makes exact six-digit
+    # half-way rewards, one winner leaves most win counts untaken, and wins
+    # past 4 * CSV_BLOCK_ROWS index the tables by the win counts taken.
+    "wins_above_population": dict(participant_count=4, team_size=1, rounds=3000),
+    "wins_above_population_many_runs": dict(participant_count=4, team_size=1, rounds=3000, runs=40),
+    "half_way_rewards": dict(participant_count=128, team_size=64, rounds=300),
+    "one_winner": dict(team_size=1, high_perf_override=(5, 50.0)),
+    "wins_past_dense_tables": dict(
+        participant_count=4, team_size=1, rounds=20000, high_perf_override=(1, 2.0)
+    ),
 }
 
 
@@ -152,12 +164,61 @@ def test_runs_csv_rejects_runs_of_two_populations():
     )
     with pytest.raises(ValueError, match="one population"):
         write_runs_csv(small + other, io.BytesIO())
+    # Runs of one population but two scenarios: a reward is the share times
+    # the wins, and team sizes 2 and 4 give two shares. 256 runs of 8 fill a
+    # group of CSV_BLOCK_ROWS rows, so the second share meets the first's
+    # rewards in a later group.
+    pairs, fours = (
+        execute_runs(ScenarioConfig(participant_count=8, team_size=size, rounds=5, runs=256, master_seed=8))
+        for size in (2, 4)
+    )
+    # Rewards that are not an increasing function of the wins.
+    run = small[0]
+    reversed_rewards = dataclasses.replace(run, cumulative_reward=-run.cumulative_reward)
+    for runs in (pairs + fours, [reversed_rewards]):
+        sink = io.BytesIO()
+        with pytest.raises(ValueError, match="one scenario") as raised:
+            write_runs_csv(runs, sink)
+        assert "\n" not in str(raised.value)
+        assert sink.getvalue() == b""
+
+
+_reals = st.floats(-7, 9).map(lambda exponent: 10.0**exponent)
+
+
+@st.composite
+def _small_configs(draw):
+    n = draw(st.integers(1, 64))
+    override = draw(st.none() | st.tuples(st.integers(0, n - 1), st.floats(0.5, 60)))
+    return ScenarioConfig(
+        participant_count=n,
+        team_size=draw(st.sampled_from([size for size in range(1, n + 1) if n % size == 0])),
+        rounds=draw(st.integers(0, 300)),
+        runs=draw(st.integers(1, 40)),
+        master_seed=draw(st.integers(0, 2**32)),
+        reward_per_round=draw(_reals),
+        base_time=draw(_reals),
+        high_perf_override=override,
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(_small_configs(), st.integers(1, 40))
+def test_runs_csv_of_any_small_scenario_matches_row_oracle(config, split):
+    runs = execute_runs(config)
+    whole, chunked = io.BytesIO(), io.BytesIO()
+    write_runs_csv(runs, whole)
+    split = min(split, len(runs))
+    write_runs_csv(runs[:split], chunked)
+    write_runs_csv(runs[split:], chunked, first_run=split)
+    assert whole.getvalue() == oracles.csv_rows_oracle(runs)
+    assert chunked.getvalue() == whole.getvalue()
 
 
 def test_runs_csv_memory_is_bounded_by_its_block():
     # The raw_export benchmark's 100 runs of 1600 rows: blocks of 2048 rows
-    # peak at about 0.6 MiB, blocks of 4096 at 1.0 MiB (1 MB more peak RSS)
-    # and blocks of 2**14 at 4.9 MiB.
+    # peak at about 0.6 MiB, blocks of 4096 at 1.1 MiB (0.6 MB more peak RSS)
+    # and blocks of 2**14 at 5.2 MiB.
     config = ScenarioConfig(**{**PAPER_DEFAULTS, "team_size": 8, "rounds": 16})
     runs = execute_runs(config)
     with open(os.devnull, "wb") as sink:
@@ -169,6 +230,27 @@ def test_runs_csv_memory_is_bounded_by_its_block():
             tracemalloc.stop()
     assert rows == 100 * 1600
     assert peak <= 1.5 * 2**20
+
+
+def test_runs_csv_memory_does_not_grow_with_wins():
+    # One participant takes every one of 200,000 rounds. Tables and digits of
+    # every win count 0..200,000 would peak at about 11 MiB; the writer keys
+    # its tables by the two win counts taken instead.
+    config = ScenarioConfig(
+        participant_count=4, team_size=1, rounds=200_000, runs=1, master_seed=1,
+        high_perf_override=(1, 50.0),
+    )
+    runs = execute_runs(config)
+    assert runs[0].win_count.max() == 200_000
+    sink = io.BytesIO()
+    tracemalloc.start()
+    try:
+        write_runs_csv(runs, sink)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sink.getvalue() == oracles.csv_rows_oracle(runs)
+    assert peak <= 2**20
 
 
 def test_importing_the_cli_leaves_the_csv_writer_unloaded():
