@@ -14,10 +14,10 @@ import numpy as np
 from .core import RunResult
 
 # Rows of runs.csv built at a time. The writer holds about 300 bytes per row
-# of a block, whatever the number of runs, plus tables by win count (see
-# _DENSE_SPAN); a run longer than a block adds a copy of its own columns and
-# ranks. Blocks of 4096 rows write 100 runs of 1600 participants 5-13%
-# faster, but add 0.6 MB to the process's peak RSS.
+# of a block, whatever the number of runs, plus tables by distinct win count;
+# a run longer than a block adds a copy of its own columns and ranks. Blocks
+# of 4096 rows write 100 runs of 1600 participants 5-13% faster, but add
+# 0.6 MB to the process's peak RSS.
 CSV_BLOCK_ROWS = 2048
 
 # format_g6 gathers a value's text from 16 source bytes: its six mantissa
@@ -162,58 +162,41 @@ def _csv_rows(fields: Sequence[np.ndarray]) -> bytes:
 # The columns of runs.csv, in the order of the fields that write_rows builds.
 CSV_HEADER = "run_id,participant_id,performance_factor,reward,wins,active_time_seconds,rank"
 
-# Tables by win count cover every count 0..top while top is below this, and
-# only the counts taken beyond it, so they grow with the distinct win counts,
-# not with the rounds. Rank keys that span at most this many values are
-# counted (10 us per 1600-row block), wider spans are sorted (24 us).
-_DENSE_SPAN = 4 * CSV_BLOCK_ROWS
-
 
 def _column(group: Sequence[RunResult], name: str) -> np.ndarray:
     return np.concatenate([getattr(run, name) for run in group])
 
 
-def _win_levels(groups: Sequence[Sequence[RunResult]]) -> np.ndarray:
-    """The win counts that index the tables: 0..top while that is short, else those taken."""
-    top = max((int(_column(group, "win_count").max(initial=0)) for group in groups), default=0)
-    if top < _DENSE_SPAN:
-        return np.arange(top + 1)
-    # A set, not np.unique, which would import numpy.ma.
-    taken = set().union(*(_column(group, "win_count").tolist() for group in groups))
-    return np.array(sorted(taken))
+def _win_table(groups: Sequence[Sequence[RunResult]]) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct win counts of the runs, sorted, and the reward of each.
 
-
-def _slots(levels: np.ndarray, wins: np.ndarray) -> np.ndarray:
-    """Each win count's place among the levels, in the same order as the wins."""
-    return wins if levels[-1] == len(levels) - 1 else levels.searchsorted(wins)
-
-
-def _reward_text(groups: Sequence[Sequence[RunResult]], levels: np.ndarray) -> np.ndarray:
-    """The reward text of each win level, each distinct reward formatted once.
-
-    Raises ``ValueError`` unless one increasing function of the wins gives
-    every run's rewards bit for bit, as within one scenario, where a reward
-    is the reward share times the wins.
+    The table is merged a group at a time, so it grows with the distinct win
+    counts, not with the rounds or the runs. A win count keeps a reward of
+    the group that brings it. Raises ``ValueError`` unless one increasing
+    function of the wins gives every run's rewards bit for bit, as within one
+    scenario, where a reward is the reward share times the wins.
     """
-    by_slot = np.zeros(len(levels))
-    seen = np.zeros(len(levels), dtype=bool)
+    levels, by_level = np.zeros(0, dtype=np.int64), np.zeros(0)
     consistent = True
     for group in groups:
-        slots = _slots(levels, _column(group, "win_count"))
+        wins = _column(group, "win_count")
         rewards = _column(group, "cumulative_reward").astype(float, copy=False)
-        # A level keeps the first reward it comes with; any other fails the check.
-        new = ~seen[slots]
-        by_slot[slots[new]] = rewards[new]
-        seen[slots] = True
-        consistent &= np.array_equal(by_slot[slots].view(np.uint64), rewards.view(np.uint64))
-    taken = np.flatnonzero(seen)
-    if not (consistent and np.all(by_slot[taken[1:]] > by_slot[taken[:-1]])):
+        slots = levels.searchsorted(wins)
+        new = np.append(levels, -1)[slots] != wins  # slot len(levels) is past every level
+        if new.any():
+            merged = np.concatenate([levels, wins[new]])
+            order = np.argsort(merged)
+            distinct = np.ones(len(order), dtype=bool)
+            np.not_equal(merged[order[1:]], merged[order[:-1]], out=distinct[1:])
+            keep = order[distinct]
+            levels, by_level = merged[keep], np.concatenate([by_level, rewards[new]])[keep]
+            slots = levels.searchsorted(wins)
+        consistent &= np.array_equal(by_level[slots].view(np.uint64), rewards.view(np.uint64))
+    if not (consistent and np.all(by_level[1:] > by_level[:-1])):
         raise ValueError(
             "runs.csv takes the runs of one scenario, whose rewards are one increasing function of the wins"
         )
-    text = np.zeros((len(levels), _G6_WIDTH), dtype=np.uint8)
-    text[taken] = format_g6(by_slot[taken])
-    return text
+    return levels, by_level
 
 
 def write_rows(runs: Sequence[RunResult], destination: IO[bytes], first_run: int = 0) -> int:
@@ -226,11 +209,11 @@ def write_rows(runs: Sequence[RunResult], destination: IO[bytes], first_run: int
     written in several blocks. Each block is one (rows, width) byte table with
     every field in a slot of fixed width, padded with NUL, and is written with
     the NULs dropped. Factors and active times come from ``format_g6``; the
-    other columns are rows of tables. Rewards and wins come from tables by
-    win count, built once per call, and ranks and participant ids from one
-    digit table of 0..n. Runs of two populations, or whose rewards are not
-    one increasing function of their wins, raise ``ValueError`` before
-    anything is written.
+    other columns are rows of tables. Rewards and wins come from tables of
+    the distinct win counts, built once per call, so each distinct reward is
+    formatted once; ranks and participant ids come from one digit table of
+    0..n. Runs of two populations, or whose rewards are not one increasing
+    function of their wins, raise ``ValueError`` before anything is written.
     """
     populations = {len(run.cumulative_reward) for run in runs}
     if len(populations) > 1:
@@ -238,23 +221,20 @@ def write_rows(runs: Sequence[RunResult], destination: IO[bytes], first_run: int
     n = max(populations, default=1)
     group_runs = max(1, CSV_BLOCK_ROWS // n)
     groups = [runs[first : first + group_runs] for first in range(0, len(runs), group_runs)]
-    levels = _win_levels(groups)
-    rewards, wins_text = _reward_text(groups, levels), _decimal_digits(levels)
+    levels, by_level = _win_table(groups)
+    rewards, wins_text = format_g6(by_level), _decimal_digits(levels)
     ids = _participant_digits(n)
     if first_run == 0:
         destination.write(f"{CSV_HEADER}\n".encode("utf-8"))
     for first, group in zip(range(first_run, first_run + len(runs), group_runs), groups):
-        slots = _slots(levels, _column(group, "win_count"))
+        slots = levels.searchsorted(_column(group, "win_count"))
         # A rank is 1 + the number of the run's participants with more wins.
         # Keys run * levels + slot give each run a range of its own, so the
         # keys at most a participant's are n per earlier run plus those of its
         # own run with at most its wins.
         run = np.repeat(np.arange(len(group)), n)
         keys = run * len(levels) + slots
-        if len(group) * len(levels) <= _DENSE_SPAN:
-            at_most = np.bincount(keys).cumsum()[keys]
-        else:
-            at_most = np.sort(keys).searchsorted(keys, "right")
+        at_most = np.sort(keys).searchsorted(keys, "right")
         ranks = (run + 1) * n + 1 - at_most
         factors, active_time = _column(group, "factors"), _column(group, "active_time")
         run_ids = _decimal_digits(np.arange(first, first + len(group)))

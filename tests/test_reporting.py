@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 import oracles
 import potsim
 from potsim.cli import PAPER_DEFAULTS, parse_and_validate
-from potsim.core import ConfigurationError, ScenarioConfig, run_simulation
+from potsim.core import ConfigurationError, RunResult, ScenarioConfig, run_simulation
 from potsim.csvrows import CSV_HEADER, format_g6
 from potsim.experiments import (
     Condition,
@@ -131,15 +131,15 @@ CSV_ORACLE_CASES = {
     "zero_rounds_many_runs": dict(rounds=0, runs=600),
     "exponent_form_many_runs": dict(base_time=1e9, reward_per_round=1e-7, runs=600),
     # Rewards, wins and ranks are keyed by win count: wins above the population
-    # reach past the participant ids' digits (and, over many runs, are ranked
-    # by sorting rather than counting), a share of 10/64 makes exact six-digit
-    # half-way rewards, one winner leaves most win counts untaken, and wins
-    # past 4 * CSV_BLOCK_ROWS index the tables by the win counts taken.
+    # reach past the participant ids' digits (alone, and 40 runs ranked in one
+    # group), a share of 10/64 makes exact six-digit half-way rewards, one
+    # winner leaves most win counts untaken, and wins in the tens of thousands
+    # leave gaps of thousands between the win counts taken.
     "wins_above_population": dict(participant_count=4, team_size=1, rounds=3000),
     "wins_above_population_many_runs": dict(participant_count=4, team_size=1, rounds=3000, runs=40),
     "half_way_rewards": dict(participant_count=128, team_size=64, rounds=300),
     "one_winner": dict(team_size=1, high_perf_override=(5, 50.0)),
-    "wins_past_dense_tables": dict(
+    "wins_far_above_population": dict(
         participant_count=4, team_size=1, rounds=20000, high_perf_override=(1, 2.0)
     ),
 }
@@ -234,8 +234,8 @@ def test_runs_csv_memory_is_bounded_by_its_block():
 
 def test_runs_csv_memory_does_not_grow_with_wins():
     # One participant takes every one of 200,000 rounds. Tables and digits of
-    # every win count 0..200,000 would peak at about 11 MiB; the writer keys
-    # its tables by the two win counts taken instead.
+    # every win count 0..200,000 would peak at about 11 MiB; the writer's
+    # tables hold only the two win counts taken.
     config = ScenarioConfig(
         participant_count=4, team_size=1, rounds=200_000, runs=1, master_seed=1,
         high_perf_override=(1, 50.0),
@@ -251,6 +251,39 @@ def test_runs_csv_memory_does_not_grow_with_wins():
         tracemalloc.stop()
     assert sink.getvalue() == oracles.csv_rows_oracle(runs)
     assert peak <= 2**20
+
+
+def test_runs_csv_memory_does_not_grow_with_the_wins_of_many_runs():
+    # 100 runs of 1600 rows in one call, as a pooled run hands them to the
+    # writer, each with the same 1600 win counts spread over 0..1,599,000.
+    # The writer merges the distinct win counts a group at a time and peaks at
+    # about 0.9 MiB; the win counts of every run at once, as Python ints,
+    # would peak at about 6.4 MiB.
+    rng = np.random.default_rng(1)
+    wins = np.arange(0, 1_600_000, 1000)
+    runs = []
+    for _ in range(100):
+        win_count = rng.permutation(wins)
+        runs.append(
+            RunResult(
+                cumulative_reward=0.125 * win_count,
+                win_count=win_count,
+                active_time=rng.uniform(1.0, 1e4, 1600),
+                factors=rng.uniform(0.5, 2.0, 1600),
+            )
+        )
+    with open(os.devnull, "wb") as sink:
+        tracemalloc.start()
+        try:
+            rows = write_runs_csv(runs, sink)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert rows == 100 * 1600
+    assert peak <= 1.5 * 2**20
+    first = io.BytesIO()
+    write_runs_csv(runs[:1], first)
+    assert first.getvalue() == oracles.csv_rows_oracle(runs[:1])
 
 
 def test_importing_the_cli_leaves_the_csv_writer_unloaded():
