@@ -202,9 +202,10 @@ def _win_table(groups: Sequence[Sequence[RunResult]]) -> tuple[np.ndarray, np.nd
 def write_rows(runs: Sequence[RunResult], destination: IO[bytes], first_run: int = 0) -> int:
     """Write rows of runs.csv for the runs of one scenario; returns the row count.
 
-    run_id is ``first_run`` plus the run's position, and the header is written
-    before run 0's rows only, so a file written a chunk of runs at a time has
-    one header. The runs are stacked into groups of at most
+    run_id is ``first_run`` plus the run's position, and the call at
+    ``first_run`` 0 writes the header, alone if it has no runs (a file of zero
+    runs), so a file written a chunk of runs at a time from a non-empty first
+    chunk has one header. The runs are stacked into groups of at most
     ``CSV_BLOCK_ROWS`` rows; a run longer than a block is a group of its own,
     written in several blocks. Each block is one (rows, width) byte table with
     every field in a slot of fixed width, padded with NUL, and is written with

@@ -26,11 +26,11 @@ from .core import (
     run_simulation,
 )
 from .metrics import (
-    RANKING_BUCKETS,
     DistStats,
     ShapeStats,
     distribution_stats,
     excess_kurtosis,
+    participant_ranks,
     pearson_correlation,
     ranking_histogram,
     skewness,
@@ -112,26 +112,37 @@ STATISTICS = (
     "correlation",
     "total_active_time",
 )
+# The override participant's rank and wins in each run, rows kept only with an override.
+OVERRIDE_ROWS = ("override_rank", "override_wins")
+
+
+def per_run_rows(config: ScenarioConfig) -> tuple[str, ...]:
+    """The rows of a summary's per-run table: ``STATISTICS``, then any ``OVERRIDE_ROWS``."""
+    return STATISTICS + (OVERRIDE_ROWS if config.high_perf_override is not None else ())
 
 
 @dataclass(frozen=True)
 class ScenarioSummary:
-    """One scenario's per-run statistics and the override participant's ranking.
+    """One scenario's config and per-run table; every aggregate is derived from the table.
 
-    ``per_run`` maps each name in ``STATISTICS`` to its value in every run, in run order,
-    NaN where undefined (e.g. after zero rounds). ``ranking`` counts the runs by the
-    override participant's rank, keyed by ``metrics.RANKING_BUCKETS``; None without one.
+    ``per_run`` maps each name in ``per_run_rows(config_echo)`` to its value in every run,
+    in run order, NaN where undefined (e.g. after zero rounds).
     """
 
     config_echo: ScenarioConfig
     per_run: dict[str, tuple[float, ...]]
-    ranking: dict[str, int] | None = None
 
     @cached_property
     def means(self) -> dict[str, float]:
-        """Each statistic's mean over the runs, not pooled samples: every aggregate reads it."""
-        table = np.array([self.per_run[name] for name in STATISTICS])
-        return dict(zip(STATISTICS, table.mean(axis=1).tolist()))
+        """Each row's mean over the runs, not pooled samples: every aggregate reads it."""
+        table = np.array(list(self.per_run.values()))
+        return dict(zip(self.per_run, table.mean(axis=1).tolist()))
+
+    @cached_property
+    def ranking(self) -> dict[str, int] | None:
+        """The runs counted by the override's rank over ``metrics.RANKING_BUCKETS``, or None."""
+        ranks = self.per_run.get("override_rank")
+        return None if ranks is None else ranking_histogram(ranks)
 
     # Views of the means, grouped as the summary JSON writes them.
     reward_stats = property(lambda s: DistStats(*(s.means[f.name] for f in fields(DistStats))))
@@ -197,21 +208,19 @@ def execute_runs(
 
 
 def summarize_runs(config: ScenarioConfig, runs: Iterable[RunResult]) -> ScenarioSummary:
-    """Tabulate each run's statistics, and the override's ranks, into a ScenarioSummary.
+    """Tabulate each run's statistics, and the override's rank and wins, into a ScenarioSummary.
 
     ``runs`` is consumed once, in order, a ``run_chunks(config)`` range at a
     time, so a generator of runs is summarized holding one chunk. Each chunk's
     rewards, factors and active times are stacked into (runs, n) tables, one
     call per statistic and chunk. A statistic undefined for a run (zero
-    variance, as after zero rounds) is NaN; the ranking is None without an
-    override. Any number of runs but config.runs raises ``ValueError``, a
-    surplus as soon as the first run past config.runs is read.
+    variance, as after zero rounds) is NaN. Any number of runs but config.runs
+    raises ``ValueError``, a surplus as soon as the first run past config.runs
+    is read.
     """
     chunks = run_chunks(config)
-    table = np.empty((len(STATISTICS), config.runs))
-    ranking = None
-    if config.high_perf_override is not None:
-        ranking = dict.fromkeys(RANKING_BUCKETS, 0)
+    rows = per_run_rows(config)
+    table = np.empty((len(rows), config.runs))
     # One buffer holds every chunk's three (runs, n) tables: tables allocated afresh per chunk
     # let the allocator give the freed chunk back to the system and fault it in again.
     stacked = np.empty((3, len(chunks[0]), config.participant_count))
@@ -227,23 +236,24 @@ def summarize_runs(config: ScenarioConfig, runs: Iterable[RunResult]) -> Scenari
             for name, out in zip(("cumulative_reward", "factors", "active_time"), stacked)
         )
         stats = distribution_stats(rewards)
-        table[:, indices.start : indices.stop] = [
+        columns = [
             *(getattr(stats, field.name) for field in fields(stats)),
             skewness(rewards),
             excess_kurtosis(rewards),
             pearson_correlation(factors, rewards),
             active_time.sum(axis=1),
         ]
-        if ranking is not None:
-            for bucket, count in ranking_histogram(rewards, config.high_perf_override[0]).items():
-                ranking[bucket] += count
+        if config.high_perf_override is not None:
+            pid = config.high_perf_override[0]
+            columns += [participant_ranks(rewards, pid), [run.win_count[pid] for run in part]]
+        table[:, indices.start : indices.stop] = columns
         # Dropped before the next chunk is pulled, which may execute it.
         del part
     else:  # one surplus run rejects the stream, and no run after it is executed
         done += len(list(islice(runs, 1)))
     if done != config.runs:
         raise ValueError(f"summarize_runs got {done} runs for a config of {config.runs} runs")
-    return ScenarioSummary(config, dict(zip(STATISTICS, map(tuple, table.tolist()))), ranking)
+    return ScenarioSummary(config, dict(zip(rows, map(tuple, table.tolist()))))
 
 
 def execute_scenario(config: ScenarioConfig, workers: int = 1) -> ScenarioSummary:

@@ -9,8 +9,9 @@ p/100 * (n-1) of the sorted sample. ``distribution_stats``, ``skewness``,
 NaN where the row's statistic is undefined (zero variance). The shape and
 correlation ratios are Python floats computed one row at a time: numpy's
 vector ``power`` can differ from C ``pow`` in the last bit.
-``competition_ranks`` ranks each row, and ``ranking_histogram`` counts one
-participant's ranks over the rows.
+``participant_ranks`` gives one participant's rank in each row; only
+``ranking_histogram``, which counts such ranks by bucket, takes a 1-D
+sequence of them instead of a table.
 """
 
 from __future__ import annotations
@@ -123,39 +124,23 @@ def pearson_correlation(x, y) -> list[float]:
     ]
 
 
-def competition_ranks(rewards) -> np.ndarray:
-    """Standard competition ranks: 1 + number of strictly richer participants.
-
-    A ``(runs, n)`` table is ranked row by row in one pass, and the ranks
-    have the table's shape.
-    """
-    table = _table(rewards)
-    size = table.shape[1]
-    # Flat index of each row's values, richest first; ties in any order.
-    order = np.argsort(-table, axis=1)
-    order += np.arange(0, table.size, size)[:, None]
-    ranked = table.ravel()[order]
-    # Down each sorted row, a place takes the place where its tie began.
-    richer = np.zeros(table.shape, dtype=np.intp)
-    richer[:, 1:] = np.where(ranked[:, 1:] != ranked[:, :-1], np.arange(1, size), 0)
-    np.maximum.accumulate(richer, axis=1, out=richer)
-    ranks = np.empty(table.size, dtype=np.intp)
-    ranks[order] = richer + 1
-    return ranks.reshape(table.shape)
-
-
-def ranking_histogram(rewards, participant: int) -> dict[str, int]:
-    """Count one participant's competition ranks over ``RANKING_BUCKETS``.
-
-    ``rewards`` is a (runs, n) table, one run per row; the participant's
-    rank in a run is 1 + the number of strictly richer participants, as in
-    ``competition_ranks``. Zero runs give all-zero counts.
-    """
+def participant_ranks(rewards, participant: int) -> np.ndarray:
+    """One participant's competition rank in each row: 1 + the number of strictly richer."""
     table = _table(rewards)
     size = table.shape[1]
     if not 0 <= participant < size:
         raise ValueError(f"participant id {participant} outside population of {size}")
-    ranks = 1 + np.count_nonzero(table > table[:, participant, None], axis=1)
+    return 1 + np.count_nonzero(table > table[:, participant, None], axis=1)
+
+
+def ranking_histogram(ranks) -> dict[str, int]:
+    """Count a sequence of integer ranks >= 1 over ``RANKING_BUCKETS``, else ValueError."""
+    values = np.asarray(ranks, dtype=float)
+    if values.ndim != 1:
+        raise ValueError(f"expected a sequence of ranks, got shape {values.shape}")
+    bad = ~((values >= 1) & (values == np.floor(values)) & np.isfinite(values))
+    if bad.any():
+        raise ValueError(f"a rank must be an integer of at least 1, got {values[bad][0].item()!r}")
     buckets = len(RANKING_BUCKETS)
-    counts = np.bincount(np.minimum(ranks, buckets) - 1, minlength=buckets)
+    counts = np.bincount(np.minimum(values, buckets).astype(np.intp) - 1, minlength=buckets)
     return dict(zip(RANKING_BUCKETS, counts.tolist()))

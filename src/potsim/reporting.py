@@ -20,7 +20,7 @@ from typing import IO, Iterator, Sequence
 
 from . import __version__
 from .core import ConfigurationError, RunResult, ScenarioConfig
-from .experiments import STATISTICS, Condition, ScenarioSummary
+from .experiments import Condition, ScenarioSummary, per_run_rows
 from .metrics import RANKING_BUCKETS
 
 TOOL_NAME = "potsim"
@@ -249,13 +249,13 @@ def _config(data: dict, key: str) -> ScenarioConfig:
     return ScenarioConfig(**fields)
 
 
-def _per_run(data: dict, runs: int) -> dict[str, tuple[float, ...]]:
-    """The per-run table: each statistic's list of ``runs`` numbers, ``null`` reading as NaN."""
-    table = data["per_run"]
+def _per_run(data: dict, config: ScenarioConfig) -> dict[str, tuple[float, ...]]:
+    """The per-run table: each row's list of ``config.runs`` numbers, ``null`` reading as NaN."""
+    table, runs = data["per_run"], config.runs
     if not isinstance(table, dict):
         raise TypeError(f"key 'per_run' must be an object, got {table!r}")
     rows = {}
-    for name in STATISTICS:
+    for name in per_run_rows(config):
         if name not in table:
             raise KeyError(f"per_run.{name}")
         row = table[name]
@@ -265,34 +265,17 @@ def _per_run(data: dict, runs: int) -> dict[str, tuple[float, ...]]:
     return rows
 
 
-def _ranking(data: dict, config: ScenarioConfig) -> dict[str, int] | None:
-    """The override's rank counts, which must sum to the runs; null without an override."""
-    raw, override = data["ranking"], config.high_perf_override is not None
-    if raw is None and not override:
-        return None
-    if not override or not isinstance(raw, dict):
-        want = "an object with" if override else "null without"
-        raise TypeError(f"key 'ranking' must be {want} a high_perf_override, got {raw!r}")
-    ranking = {bucket: raw[bucket] for bucket in RANKING_BUCKETS}
-    for bucket, count in ranking.items():
-        if isinstance(count, bool) or not isinstance(count, int) or count < 0:
-            raise TypeError(f"key {bucket!r} must be a non-negative integer, got {count!r}")
-    if (total := sum(ranking.values())) != config.runs:
-        raise ValueError(f"key 'ranking' counts sum to {total}, not to the {config.runs} runs")
-    return ranking
-
-
 def summary_from_dict(data: dict) -> ScenarioSummary:
-    """The summary that data's config, per_run and ranking give, from JSON or ``summary_to_dict``.
+    """The summary that data's config and per_run give, from JSON or ``summary_to_dict``.
 
     Every other key must hold what ``summary_to_dict`` derives from them.
     """
     data = _null_for_nan(data)
     config = _config(data, "config")
-    summary = ScenarioSummary(config, _per_run(data, config.runs), _ranking(data, config))
+    summary = ScenarioSummary(config, _per_run(data, config))
     derived = _null_for_nan(summary_to_dict(summary))
     for key in derived:
-        if key not in ("config", "per_run", "ranking") and data[key] != derived[key]:
+        if key not in ("config", "per_run") and data[key] != derived[key]:
             raise ValueError(f"key {key!r} is {data[key]!r}, "
                              f"not the {derived[key]!r} that its config and per_run give")
     return summary

@@ -26,10 +26,7 @@ from potsim.cli import CI_SCALE, PAPER_DEFAULTS, PAPER_TEAM_SIZES, entrypoint
 from potsim.experiments import (
     Condition,
     SweepSpec,
-    execute_runs,
     execute_scenario,
-    scenario_config,
-    summarize_runs,
     sweep_team_sizes,
 )
 from potsim.reporting import REFERENCE_TABLES, emit_table
@@ -54,41 +51,25 @@ def paper_config(**overrides) -> ScenarioConfig:
     return ScenarioConfig(**fields)
 
 
-@pytest.fixture(scope="module")
-def homogeneous_sweep():
+def paper_sweep(condition: Condition, **overrides) -> dict:
     spec = SweepSpec(
-        base_config=paper_config(high_perf_override=None),
+        base_config=paper_config(**overrides),
         team_sizes=PAPER_TEAM_SIZES,
-        conditions=(Condition.HOMOGENEOUS,),
+        conditions=(condition,),
     )
     summaries = sweep_team_sizes(spec, workers=WORKERS)
     return {s.config_echo.team_size: s for s in summaries}
 
 
 @pytest.fixture(scope="module")
-def high_perf_scenarios():
-    """The high-performance sweep, keeping the override node's per-run wins.
-
-    Each scenario is composed as ``sweep_team_sizes`` composes it
-    (``scenario_config``, then ``execute_scenario``), except that every run
-    is executed in one list before ``summarize_runs``, so the per-run wins
-    can be read; a summary of every run at once equals the streamed one, so
-    the summaries are the ones the sweep returns.
-    """
-    base = paper_config()
-    node = base.high_perf_override[0]
-    scenarios = {}
-    for team_size in PAPER_TEAM_SIZES:
-        config = scenario_config(base, team_size, Condition.HIGH_PERF)
-        runs = execute_runs(config, workers=WORKERS)
-        node_wins = np.array([run.win_count[node] for run in runs])
-        scenarios[team_size] = (summarize_runs(config, runs), node_wins)
-    return scenarios
+def homogeneous_sweep():
+    return paper_sweep(Condition.HOMOGENEOUS, high_perf_override=None)
 
 
 @pytest.fixture(scope="module")
-def high_perf_sweep(high_perf_scenarios):
-    return {n: summary for n, (summary, _) in high_perf_scenarios.items()}
+def high_perf_sweep():
+    """The high-performance sweep; each summary keeps the override node's per-run wins."""
+    return paper_sweep(Condition.HIGH_PERF)
 
 
 @pytest.fixture(scope="module")
@@ -152,18 +133,16 @@ def test_criterion_04_pow_dominance_is_total(high_perf_sweep):
     assert ok
 
 
-def test_criterion_05_pots_dominance_dilution(high_perf_scenarios):
+def test_criterion_05_pots_dominance_dilution(high_perf_sweep):
     runs = PAPER_DEFAULTS["runs"]
     largest = PAPER_TEAM_SIZES[-1]
-    first_places = {
-        n: summary.ranking["1"] for n, (summary, _) in high_perf_scenarios.items()
-    }
+    first_places = {n: summary.ranking["1"] for n, summary in high_perf_sweep.items()}
     # The node earns reward_per_round / N per win; dividing its mean reward
     # by the population mean gives its reward as a multiple of the average.
     reward_multiple = {
-        n: summary.config_echo.reward_per_round / n * node_wins.mean()
+        n: summary.config_echo.reward_per_round / n * summary.means["override_wins"]
         / summary.reward_stats.mean
-        for n, (summary, node_wins) in high_perf_scenarios.items()
+        for n, summary in high_perf_sweep.items()
     }
     first_place_ok = first_places[largest] < runs
     rising_steps = [

@@ -490,6 +490,14 @@ def _list_copy(tmp_path, name):
     return copy
 
 
+# The ranking that the high_perf bundle's per-run ranks give: first in each of its 3 runs.
+FIRST_EVERY_RUN = {bucket: 3 * (bucket == "1") for bucket in RANKING_BUCKETS}
+
+
+def _not_derived(ranking, derived=FIRST_EVERY_RUN):
+    return f"key 'ranking' is {ranking!r}, not the {derived!r} that its config and per_run give"
+
+
 BAD_BUNDLES = [
     ("summary", _drop("correlation"), "missing key 'correlation'"),
     ("manifest", _drop("summaries"), "missing key 'summaries'"),
@@ -497,9 +505,9 @@ BAD_BUNDLES = [
     ("summary", lambda summary: [summary], "expected a JSON object, got list"),
     ("summary", _mean("10.0"), "key 'reward_stats' is {'mean': '10.0', "),
     ("summary", _mean(True), "key 'reward_stats' is {'mean': True, "),
-    ("ranking", _rank_count("1", 2.7), "key '1' must be a non-negative integer, got 2.7"),
-    ("ranking", _rank_count("2", "1"), "key '2' must be a non-negative integer, got '1'"),
-    ("ranking", _rank_count("3", True), "key '3' must be a non-negative integer, got True"),
+    ("ranking", _rank_count("1", 2.7), _not_derived({**FIRST_EVERY_RUN, "1": 2.7})),
+    ("ranking", _rank_count("2", "1"), _not_derived({**FIRST_EVERY_RUN, "2": "1"})),
+    ("ranking", _rank_count("3", True), _not_derived({**FIRST_EVERY_RUN, "3": True})),
     ("ranking", _config_field("high_perf_override", [3.9, 2.5]),
      "high_perf_override id must be an integer, got 3.9"),
     ("ranking", _config_field("high_perf_override", ["3", 2.5]),
@@ -517,12 +525,11 @@ BAD_BUNDLES = [
      "key 'summaries' must list plain, unique file names"),
     ("summary", _set("reward_stats", []), "key 'reward_stats' is [], not the {'mean': "),
     ("summary", _set("config", []), "key 'config' must be an object, got []"),
-    ("summary", _set("ranking", []),
-     "key 'ranking' must be null without a high_perf_override, got []"),
+    ("summary", _set("ranking", []), _not_derived([], None)),
     # The label and condition must be the ones the config gives.
     ("summary", _config_field("team_size", 8), "key 'label' is 'PoTS (4)', not the 'PoTS (8)'"),
     ("summary", _config_field("high_perf_override", [3, 2.5]),
-     "key 'ranking' must be an object with a high_perf_override, got None"),
+     "missing key 'per_run.override_rank'"),
     # A summary must sit under the file name its config gives.
     ("summary", _with(lambda s: s.update(label="PoTS (8)", config={**s["config"], "team_size": 8})),
      "its config names the file 'homogeneous_n008.json', not 'homogeneous_n004.json'"),
@@ -546,12 +553,19 @@ BAD_BUNDLES = [
     ("summary", _set("condition", "high_perf"),
      "key 'condition' is 'high_perf', not the 'homogeneous'"),
     ("summary", _set("label", "PoTS (8)"), "key 'label' is 'PoTS (8)', not the 'PoTS (4)'"),
+    # The ranking is derived from the override's per-run ranks, whole numbers from 1 up.
     ("ranking", _with(lambda s: s["ranking"].update({"1": s["ranking"]["1"] + 996})),
-     "key 'ranking' counts sum to 999, not to the 3 runs"),
-    ("summary", _set("ranking", {bucket: 3 * (bucket == "1") for bucket in RANKING_BUCKETS}),
-     "key 'ranking' must be null without a high_perf_override, got {'1': 3, "),
-    ("ranking", _set("ranking", None),
-     "key 'ranking' must be an object with a high_perf_override, got None"),
+     _not_derived({**FIRST_EVERY_RUN, "1": 999})),
+    ("summary", _set("ranking", FIRST_EVERY_RUN), _not_derived(FIRST_EVERY_RUN, None)),
+    ("ranking", _set("ranking", None), _not_derived(None)),
+    ("ranking", _drop_config_field("per_run", "override_rank"),
+     "missing key 'per_run.override_rank'"),
+    ("ranking", _per_run_entry("override_rank", 0, 1.5),
+     "a rank must be an integer of at least 1, got 1.5"),
+    ("ranking", _per_run_entry("override_rank", 1, 0),
+     "a rank must be an integer of at least 1, got 0.0"),
+    ("ranking", _per_run_entry("override_rank", 2, None),
+     "a rank must be an integer of at least 1, got nan"),
     # Undefined values are written as null; NaN and Infinity are not JSON.
     ("summary", _undefined_skewness, "non-standard JSON value NaN"),
     ("manifest", _set("created_utc", math.inf), "non-standard JSON value Infinity"),
@@ -570,7 +584,8 @@ BAD_BUNDLES = [
          "copy_under_second_name", "no_per_run", "short_per_run_list", "unequal_per_run_lists",
          "string_per_run_entry", "bool_per_run_entry", "missing_statistic", "huge_int_entry",
          "edited_reward_mean", "other_condition", "other_label", "ranking_counts_not_runs",
-         "ranking_without_override", "null_ranking_with_override", "bare_nan_statistic",
+         "ranking_without_override", "null_ranking_with_override", "missing_override_rank",
+         "fractional_rank", "zero_rank", "null_rank", "bare_nan_statistic",
          "bare_infinity_in_manifest"],
 )
 def test_malformed_bundle_exits_2_with_one_line(tmp_path, capsys, target, edit, message):

@@ -180,7 +180,7 @@ STATISTIC_NAMES = (
     "skewness",
     "excess_kurtosis",
     "pearson_correlation",
-    "ranking_histogram",
+    "participant_ranks",
 )
 
 

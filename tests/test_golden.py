@@ -63,8 +63,8 @@ def written(tmp_path_factory):
 @pytest.mark.parametrize(
     "command, expected",
     [
-        ("ci_sweep", "fd6d2b0a3f30554fc4cdc299afe37bbe400f21883ad043b7aa88f30b26bdcefa"),
-        ("paper_run_raw", "eb599b50507ef1f167314da1ce4eb797ef4a8f079a86f022fd7a5281508ee226"),
+        ("ci_sweep", "0ddb041a5fae13e9d79ccebf5449cea877dfa832daa3030e25ba8fca5d4eb74b"),
+        ("paper_run_raw", "9b73b8b8abd8aa6159719da7b0d577e4242e7b03a322ac04de9cfe829f5d35a9"),
     ],
     ids=["ci_sweep", "paper_run_raw"],
 )

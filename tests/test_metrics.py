@@ -20,9 +20,9 @@ from potsim.core import RunResult, ScenarioConfig
 from potsim.experiments import execute_runs, summarize_runs
 from potsim.metrics import (
     DistStats,
-    competition_ranks,
     distribution_stats,
     excess_kurtosis,
+    participant_ranks,
     pearson_correlation,
     ranking_histogram,
     skewness,
@@ -77,8 +77,7 @@ def test_statistics_reject_non_tables():
         skewness,
         excess_kurtosis,
         lambda table: pearson_correlation(table, table),
-        competition_ranks,
-        lambda table: ranking_histogram(table, 0),
+        lambda table: participant_ranks(table, 0),
     )
     for bad in ([1.0, 2.0, 3.0], np.ones((2, 3, 4)), np.empty((3, 0)), np.empty((0, 0)), 5.0):
         for statistic in statistics:
@@ -242,56 +241,53 @@ def test_correlation_bounded(pairs):
 # -- ranking --------------------------------------------------------------------
 
 
-def test_competition_rank_examples():
-    assert competition_ranks([[10, 5, 5], [7, 7, 7], [1, 9, 4]]).tolist() == [
-        [1, 2, 2],
-        [1, 1, 1],
-        [3, 1, 2],
-    ]
-    assert competition_ranks([[1, 9, 4, 9]]).tolist() == [[4, 1, 3, 1]]
-    assert competition_ranks(np.empty((0, 3))).shape == (0, 3)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.lists(st.integers(0, 4), min_size=5, max_size=5), min_size=1, max_size=4))
-def test_competition_ranks_of_table_match_oracle(table):
-    ranks = competition_ranks(np.array(table, dtype=float) / 4)
-    assert ranks.tolist() == [
-        [oracles.competition_rank(row, pid) for pid in range(len(row))] for row in table
-    ]
-
-
 def test_competition_rank_rejects_bad_id():
     with pytest.raises(ValueError, match="participant id"):
-        ranking_histogram([[1, 2, 3]], 3)
+        participant_ranks([[1, 2, 3]], 3)
     with pytest.raises(ValueError, match="participant id"):
-        ranking_histogram([[1, 2, 3]], -1)
+        participant_ranks([[1, 2, 3]], -1)
 
 
 def test_ranking_histogram_always_first():
-    hist = ranking_histogram([[20, 5, 5]] * 100, 0)
+    hist = ranking_histogram([1] * 100)
     assert hist["1"] == 100
     assert hist["11_or_lower"] == 0
     assert sum(hist.values()) == 100
 
 
 def test_ranking_histogram_bucketing():
-    run_rank3 = [5, 4, 3, 9, 8] + [0] * 10
-    run_rank15 = [1] + list(range(2, 16))
-    hist = ranking_histogram([run_rank3, run_rank15], 0)
+    hist = ranking_histogram([3, 15, 11.0, 10])
     assert hist["3"] == 1
-    assert hist["11_or_lower"] == 1
-    assert sum(hist.values()) == 2
+    assert hist["10"] == 1
+    assert hist["11_or_lower"] == 2
+    assert sum(hist.values()) == 4
 
 
 def test_ranking_histogram_single_run():
-    hist = ranking_histogram([[1, 2]], 0)
-    assert sum(hist.values()) == 1
+    hist = ranking_histogram([2])
+    assert hist["2"] == 1 and sum(hist.values()) == 1
 
 
 def test_ranking_histogram_empty_is_all_zero():
-    hist = ranking_histogram(np.empty((0, 3)), 0)
+    hist = ranking_histogram(np.empty(0))
     assert list(hist.items()) == [(str(rank), 0) for rank in range(1, 11)] + [("11_or_lower", 0)]
+
+
+@pytest.mark.parametrize(
+    "ranks, message",
+    [
+        ([1, 0], "a rank must be an integer of at least 1, got 0.0"),
+        ([2.5, 1], "a rank must be an integer of at least 1, got 2.5"),
+        ([1, math.nan], "a rank must be an integer of at least 1, got nan"),
+        ([1, math.inf], "a rank must be an integer of at least 1, got inf"),
+        ([[1, 2]], "expected a sequence of ranks, got shape (1, 2)"),
+    ],
+    ids=["zero", "fractional", "nan", "infinite", "table"],
+)
+def test_ranking_histogram_rejects_what_is_not_a_rank(ranks, message):
+    with pytest.raises(ValueError) as raised:
+        ranking_histogram(ranks)
+    assert str(raised.value) == message
 
 
 # -- aggregation over runs (summarize_runs) ----------------------------------------
@@ -452,15 +448,18 @@ def test_chunked_table_matches_per_run_statistics(scenario):
         runs = execute_runs(config)
         with mock.patch.object(experiments, "_BLOCK_ELEMENTS", elements):
             summary = summarize_runs(config, runs)
-        assert tuple(summary.per_run) == experiments.STATISTICS
+        assert tuple(summary.per_run) == experiments.per_run_rows(config)
         assert {len(row) for row in summary.per_run.values()} == {config.runs}
-        for run, column in zip(runs, zip(*summary.per_run.values())):
+        statistics = zip(*(summary.per_run[name] for name in experiments.STATISTICS))
+        for run, column in zip(runs, statistics):
             assert hex_column(column) == hex_column(frozen_column(run))
     if config.high_perf_override is None:
         assert summary.ranking is None
     else:
         pid = config.high_perf_override[0]
-        ranks = [int(competition_ranks(run.cumulative_reward[None])[0, pid]) for run in runs]
+        ranks = [oracles.competition_rank(run.cumulative_reward.tolist(), pid) for run in runs]
+        assert summary.per_run["override_rank"] == tuple(ranks)
+        assert summary.per_run["override_wins"] == tuple(run.win_count[pid] for run in runs)
         assert list(summary.ranking.values()) == [ranks.count(rank) for rank in range(1, 11)] + [
             sum(rank >= 11 for rank in ranks)
         ]
