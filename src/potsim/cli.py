@@ -18,11 +18,12 @@ import sys
 from contextlib import ExitStack
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import IO, Iterator
 
 from . import __version__
-from .core import ConfigurationError, RunResult, ScenarioConfig
-from .experiments import Condition, SweepSpec, execute_runs, run_chunks, summarize_runs
+from .core import ConfigurationError, ScenarioConfig
+from .experiments import Condition, SweepSpec, execute_scenario
+# Not called here: perfbench/tracing.py patches them in cli. ROADMAP item 14 drops both.
+from .experiments import execute_runs, summarize_runs  # noqa: F401
 from .reporting import (
     TABLE_IDS,
     atomic_writer,
@@ -147,7 +148,7 @@ def _load_config_file(path: str) -> dict:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigurationError(f"cannot read config file {path}: {exc}") from exc
-    except ValueError as exc:  # not UTF-8, or not JSON
+    except (RecursionError, ValueError) as exc:  # not UTF-8, not JSON, or nested too deep
         raise ConfigurationError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigurationError(f"config file {path} must hold a JSON object")
@@ -263,22 +264,6 @@ def parse_and_validate(arguments: list[str]) -> CliInvocation:
     )
 
 
-def _stream_runs(
-    config: ScenarioConfig, threads: int, sink: IO[bytes] | None
-) -> Iterator[RunResult]:
-    """Every run of config in order, executed one ``run_chunks`` range at a time.
-
-    Each chunk's rows go to ``sink`` (runs.csv) unless it is None. One chunk is held at a
-    time. ``execute_runs`` and ``write_runs_csv`` are looked up here, where the tracer wraps them.
-    """
-    for indices in run_chunks(config, threads):
-        runs = execute_runs(config, threads, indices)
-        if sink is not None:
-            write_runs_csv(runs, sink, indices.start)
-        yield from runs
-        del runs  # before the next chunk is executed
-
-
 # Each scenario's stdout line, by subcommand, from its summary s.
 _SCENARIO_LINES = {
     "run": "{label}: {s.config_echo.runs} runs x {s.config_echo.rounds} rounds, "
@@ -289,7 +274,7 @@ _SCENARIO_LINES = {
 
 
 def _cmd_scenarios(invocation: CliInvocation) -> int:
-    """run or sweep: stream and summarize each scenario in turn, then write one bundle."""
+    """run or sweep: execute and summarize each scenario in turn, then write one bundle."""
     configs = (invocation.config,) if invocation.sweep is None else invocation.sweep.configs
     out, kind = invocation.out_dir, invocation.subcommand
     # Made before the first run, so an --out that cannot be a directory
@@ -301,7 +286,8 @@ def _cmd_scenarios(invocation: CliInvocation) -> int:
     # keeps the old runs.csv as well.
     with ExitStack() as stack:
         sink = None if runs_csv is None else stack.enter_context(atomic_writer(out / runs_csv))
-        summaries = [summarize_runs(c, _stream_runs(c, invocation.threads, sink)) for c in configs]
+        write = None if sink is None else lambda runs, first: write_runs_csv(runs, sink, first)
+        summaries = [execute_scenario(c, invocation.threads, write) for c in configs]
         if sink is not None:
             sink.flush()
         write_bundle(out, kind, summaries, invocation.config, runs_csv=runs_csv)

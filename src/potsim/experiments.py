@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from functools import cached_property
 from itertools import chain, islice
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -256,10 +256,22 @@ def summarize_runs(config: ScenarioConfig, runs: Iterable[RunResult]) -> Scenari
     return ScenarioSummary(config, dict(zip(rows, map(tuple, table.tolist()))))
 
 
-def execute_scenario(config: ScenarioConfig, workers: int = 1) -> ScenarioSummary:
-    """Run one scenario and summarize it, holding one ``run_chunks`` range of runs at a time."""
-    chunks = (execute_runs(config, workers, indices) for indices in run_chunks(config, workers))
-    return summarize_runs(config, chain.from_iterable(chunks))
+def execute_scenario(
+    config: ScenarioConfig, workers: int = 1, on_chunk: Callable[[list, int], object] | None = None
+) -> ScenarioSummary:
+    """Run one scenario and summarize it, holding one ``run_chunks`` range of runs at a time.
+
+    The one run loop of the commands and the library. Each range's runs go to
+    ``on_chunk(runs, first_run)``, when given, before they are summarized.
+    """
+
+    def chunk(indices: range) -> list[RunResult]:
+        runs = execute_runs(config, workers, indices)
+        if on_chunk is not None:
+            on_chunk(runs, indices.start)
+        return runs
+
+    return summarize_runs(config, chain.from_iterable(map(chunk, run_chunks(config, workers))))
 
 
 def scenario_config(

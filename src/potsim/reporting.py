@@ -116,9 +116,9 @@ def write_runs_csv(runs: Sequence[RunResult], destination: IO[bytes], first_run:
 
     Returns the number of rows. Runs of two populations, or whose rewards are
     not one increasing function of their wins (as runs of two scenarios can
-    be), raise ``ValueError``. ``csvrows.write_rows`` writes the rows, and the
-    header before run 0's, so consecutive chunks of runs written to one sink
-    make one file.
+    be), raise ``ValueError``. ``csvrows.write_rows`` writes the rows. The call at
+    ``first_run`` 0 writes the header, alone if it has no runs, so chunks written
+    in turn to one sink, the first of them not empty, make one file.
     """
     # Imported here, so that only a CSV write compiles the formatter and builds its tables.
     from .csvrows import write_rows
@@ -378,7 +378,7 @@ def _read_json_object(path: Path, parse):
         return parse(data)
     except KeyError as exc:
         raise ValueError(f"{path}: missing key {exc}") from None
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise ValueError(f"{path}: {exc}") from None
 
 

@@ -219,7 +219,7 @@ def test_bad_source_date_epoch_exits_1_before_any_run(monkeypatch, tmp_path, cap
     def no_run(*args, **kwargs):
         raise AssertionError("ran before SOURCE_DATE_EPOCH was checked")
 
-    monkeypatch.setattr(cli, "execute_runs", no_run)
+    monkeypatch.setattr(experiments, "execute_runs", no_run)
     monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
     out = tmp_path / "out"
     assert entrypoint([command, "--ci-scale", "--out", str(out)]) == 1
@@ -348,7 +348,7 @@ def test_out_of_memory_exits_2_with_one_line(tmp_path, capsys, monkeypatch, deta
     def exhausted(config, workers=1, indices=None):
         raise MemoryError(*([detail] if detail else []))
 
-    monkeypatch.setattr("potsim.cli.execute_runs", exhausted)
+    monkeypatch.setattr("potsim.experiments.execute_runs", exhausted)
     assert entrypoint(run_args(tmp_path)) == 2
     err = capsys.readouterr().err
     assert err.splitlines() == [f"error: out of memory{': ' + detail if detail else ''}"]
@@ -368,7 +368,7 @@ def test_out_of_memory_in_a_later_chunk_replaces_no_file(tmp_path, capsys, monke
             raise MemoryError
         return execute_runs(config, workers, indices)
 
-    monkeypatch.setattr(cli, "execute_runs", exhausted_later)
+    monkeypatch.setattr(experiments, "execute_runs", exhausted_later)
     capsys.readouterr()
     assert entrypoint([*argv, "--raw", "--seed", "6"]) == 2
     assert capsys.readouterr().err.splitlines() == ["error: out of memory"]
@@ -385,7 +385,6 @@ def test_out_naming_a_file_exits_2_before_any_run(tmp_path, capsys, monkeypatch,
         calls.append(config)
         return execute_runs(config, workers, indices)
 
-    monkeypatch.setattr(cli, "execute_runs", counted)
     monkeypatch.setattr(experiments, "execute_runs", counted)
     target = tmp_path / "taken"
     target.write_text("a file, not a directory\n")
@@ -605,6 +604,31 @@ def test_malformed_bundle_exits_2_with_one_line(tmp_path, capsys, target, edit, 
     assert err.startswith(f"error: {path}: ") and message in err
 
 
+@pytest.mark.parametrize(
+    "target, status",
+    [("config.json", 1), ("manifest.json", 2), ("summaries/homogeneous_n004.json", 2)],
+    ids=["config", "manifest", "summary"],
+)
+def test_deeply_nested_json_exits_with_one_line(tmp_path, capsys, target, status):
+    # Raw text, since json.dumps cannot nest this deep.
+    assert entrypoint(run_args(tmp_path)) == 0
+    path = tmp_path / target
+    if target.startswith("summaries/"):
+        # It parses, but the null-for-NaN pass over it recurses past the limit.
+        path.write_text('{"deep": ' + "[" * 600 + "]" * 600 + ", " + path.read_text()[1:])
+    else:
+        path.write_text("[" * 200_000)
+    if target == "config.json":
+        argv = ["run", "--config", str(path), "--out", str(tmp_path / "out")]
+    else:
+        argv = ["report", "--from", str(tmp_path)]
+    capsys.readouterr()
+    assert entrypoint(argv) == status
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert err.startswith("error: ") and str(path) in err
+
+
 def _block(tmp_path, name):
     """Put a directory where the file ``name`` was, so writing it fails."""
     (tmp_path / name).unlink()
@@ -769,9 +793,9 @@ def test_streamed_sweep_equals_the_whole_list_output(tmp_path, monkeypatch, runs
 def test_run_executes_and_writes_through_cli_a_chunk_at_a_time(
     tmp_path, monkeypatch, serial_pool, flags, chunks
 ):
-    # The benchmark's tracer wraps cli.execute_runs and cli.write_runs_csv,
-    # and collects the workers' spans from each execute_runs call, so run
-    # calls both through cli, one run_chunks range at a time.
+    # The benchmark's tracer wraps experiments.execute_runs, where it collects
+    # the workers' spans, and cli.write_runs_csv. So run executes each
+    # run_chunks range through experiments' global and writes it through cli's.
     executed, written = [], []
 
     def execute(config, workers=1, indices=None):
@@ -782,7 +806,7 @@ def test_run_executes_and_writes_through_cli_a_chunk_at_a_time(
         written.append(first_run)
         return write_runs_csv(runs, sink, first_run)
 
-    monkeypatch.setattr(cli, "execute_runs", execute)
+    monkeypatch.setattr(experiments, "execute_runs", execute)
     monkeypatch.setattr(cli, "write_runs_csv", write)
     argv = ["run", "--participants", "1600", "--rounds", "2", "--runs", "21", "--raw", *flags]
     assert entrypoint([*argv, "--out", str(tmp_path)]) == 0

@@ -229,7 +229,15 @@ def test_streamed_scenario_equals_the_summary_of_every_run(workers):
     cfg = ScenarioConfig(
         participant_count=1600, team_size=8, rounds=2, runs=21, high_perf_override=(7, 2.5)
     )
-    assert execute_scenario(cfg, workers) == summarize_runs(cfg, execute_runs(cfg))
+    seen = []
+    summary = execute_scenario(cfg, workers, lambda runs, first: seen.append((runs, first)))
+    assert summary == summarize_runs(cfg, execute_runs(cfg))
+    # on_chunk sees each range once, in order, with the runs of that range.
+    chunks = run_chunks(cfg, workers)
+    assert [first for _, first in seen] == [indices.start for indices in chunks]
+    for (runs, _), indices in zip(seen, chunks):
+        expected = execute_runs(cfg, indices=indices)
+        assert [r.win_count.tolist() for r in runs] == [r.win_count.tolist() for r in expected]
 
 
 def test_scenario_memory_is_flat_in_the_number_of_runs():
