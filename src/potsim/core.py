@@ -188,13 +188,19 @@ class RunResult:
     ``active_time`` holds each participant's summed simulated time across
     all rounds; every participant works every round, winners and losers
     alike, which is what makes total time the energy proxy. ``factors`` is
-    the run's read-only performance profile, indexed by id.
+    the run's read-only performance profile, indexed by id. ``reward_share``
+    is each winner's take of a round, the round's reward over the team size.
     """
 
-    cumulative_reward: np.ndarray
     win_count: np.ndarray
     active_time: np.ndarray
     factors: np.ndarray
+    reward_share: float
+
+    @property
+    def cumulative_reward(self) -> np.ndarray:
+        """Each participant's summed reward, the share times the wins, computed on access."""
+        return self.reward_share * self.win_count
 
 
 def draw_performance_profile(config: ScenarioConfig, stream: np.random.Generator) -> np.ndarray:
@@ -370,13 +376,11 @@ def run_simulation(
         # Only one block is held at a time: drop this one before drawing the next.
         del words, teams, member_times
 
-    # Built from win counts so reward == share * wins holds bit-exactly.
-    cumulative_reward = (config.reward_per_round / config.team_size) * win_count
-    for arr in (cumulative_reward, win_count, active_time):
+    for arr in (win_count, active_time):
         arr.flags.writeable = False
     return RunResult(
-        cumulative_reward=cumulative_reward,
         win_count=win_count,
         active_time=active_time,
         factors=factors,
+        reward_share=config.reward_per_round / config.team_size,
     )

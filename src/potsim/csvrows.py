@@ -6,6 +6,7 @@ a CSV write pays for compiling it and for building its lookup tables.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from typing import IO, Sequence
 
@@ -167,36 +168,21 @@ def _column(group: Sequence[RunResult], name: str) -> np.ndarray:
     return np.concatenate([getattr(run, name) for run in group])
 
 
-def _win_table(groups: Sequence[Sequence[RunResult]]) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct win counts of the runs, sorted, and the reward of each.
+def _win_levels(groups: Sequence[Sequence[RunResult]]) -> np.ndarray:
+    """The distinct win counts of the runs, sorted.
 
     The table is merged a group at a time, so it grows with the distinct win
-    counts, not with the rounds or the runs. A win count keeps a reward of
-    the group that brings it. Raises ``ValueError`` unless one increasing
-    function of the wins gives every run's rewards bit for bit, as within one
-    scenario, where a reward is the reward share times the wins.
+    counts, not with the rounds or the runs.
     """
-    levels, by_level = np.zeros(0, dtype=np.int64), np.zeros(0)
-    consistent = True
+    levels = np.zeros(0, dtype=np.int64)
     for group in groups:
-        wins = _column(group, "win_count")
-        rewards = _column(group, "cumulative_reward").astype(float, copy=False)
-        slots = levels.searchsorted(wins)
-        new = np.append(levels, -1)[slots] != wins  # slot len(levels) is past every level
-        if new.any():
-            merged = np.concatenate([levels, wins[new]])
-            order = np.argsort(merged)
-            distinct = np.ones(len(order), dtype=bool)
-            np.not_equal(merged[order[1:]], merged[order[:-1]], out=distinct[1:])
-            keep = order[distinct]
-            levels, by_level = merged[keep], np.concatenate([by_level, rewards[new]])[keep]
-            slots = levels.searchsorted(wins)
-        consistent &= np.array_equal(by_level[slots].view(np.uint64), rewards.view(np.uint64))
-    if not (consistent and np.all(by_level[1:] > by_level[:-1])):
-        raise ValueError(
-            "runs.csv takes the runs of one scenario, whose rewards are one increasing function of the wins"
-        )
-    return levels, by_level
+        # Sorted and deduplicated by hand: np.unique and np.union1d import
+        # numpy.ma, which no command otherwise loads.
+        merged = np.sort(np.concatenate([levels, _column(group, "win_count")]))
+        distinct = np.ones(len(merged), dtype=bool)
+        np.not_equal(merged[1:], merged[:-1], out=distinct[1:])
+        levels = merged[distinct]
+    return levels
 
 
 def write_rows(runs: Sequence[RunResult], destination: IO[bytes], first_run: int = 0) -> int:
@@ -211,19 +197,27 @@ def write_rows(runs: Sequence[RunResult], destination: IO[bytes], first_run: int
     every field in a slot of fixed width, padded with NUL, and is written with
     the NULs dropped. Factors and active times come from ``format_g6``; the
     other columns are rows of tables. Rewards and wins come from tables of
-    the distinct win counts, built once per call, so each distinct reward is
-    formatted once; ranks and participant ids come from one digit table of
-    0..n. Runs of two populations, or whose rewards are not one increasing
-    function of their wins, raise ``ValueError`` before anything is written.
+    the distinct win counts, built once per call, so each distinct reward,
+    the reward share times the wins, is formatted once; ranks and
+    participant ids come from one digit table of 0..n. A positive share
+    ranks rewards as it ranks wins, so runs of two populations or two reward
+    shares, or of a share that is not positive and finite, raise
+    ``ValueError`` before anything is written.
     """
-    populations = {len(run.cumulative_reward) for run in runs}
+    populations = {len(run.win_count) for run in runs}
     if len(populations) > 1:
         raise ValueError(f"runs.csv takes runs of one population, got {sorted(populations)}")
-    n = max(populations, default=1)
+    shares = {run.reward_share for run in runs}
+    if len(shares) > 1 or not all(0 < share < math.inf for share in shares):
+        raise ValueError(
+            "runs.csv takes the runs of one scenario, of one positive and finite reward share, "
+            f"got {sorted(shares)}"
+        )
+    n, share = max(populations, default=1), max(shares, default=1.0)
     group_runs = max(1, CSV_BLOCK_ROWS // n)
     groups = [runs[first : first + group_runs] for first in range(0, len(runs), group_runs)]
-    levels, by_level = _win_table(groups)
-    rewards, wins_text = format_g6(by_level), _decimal_digits(levels)
+    levels = _win_levels(groups)
+    rewards, wins_text = format_g6(share * levels), _decimal_digits(levels)
     ids = _participant_digits(n)
     if first_run == 0:
         destination.write(f"{CSV_HEADER}\n".encode("utf-8"))

@@ -114,9 +114,9 @@ def emission_timestamp() -> str:
 def write_runs_csv(runs: Sequence[RunResult], destination: IO[bytes], first_run: int = 0) -> int:
     """Write the runs of one scenario into one CSV, run_id ``first_run`` plus the run's position.
 
-    Returns the number of rows. Runs of two populations, or whose rewards are
-    not one increasing function of their wins (as runs of two scenarios can
-    be), raise ``ValueError``. ``csvrows.write_rows`` writes the rows. The call at
+    Returns the number of rows. Runs of two populations or two reward shares
+    (as runs of two scenarios can be), or of a share that is not positive and
+    finite, raise ``ValueError``. ``csvrows.write_rows`` writes the rows. The call at
     ``first_run`` 0 writes the header, alone if it has no runs, so chunks written
     in turn to one sink, the first of them not empty, make one file.
     """

@@ -745,8 +745,8 @@ def _peak_memory(argv):
 
 
 def test_run_memory_is_flat_in_the_number_of_runs(tmp_path, capsys):
-    # One chunk of runs is held at a time, about 51 KB a run at n = 1600;
-    # holding every run would add about 9 MiB at 200 runs.
+    # One chunk of runs is held at a time, about 38 KB a run at n = 1600;
+    # holding every run would add about 7 MiB at 200 runs.
     def peak(runs):
         return _peak_memory([*STREAMED, "--runs", str(runs), "--raw", "--out", str(tmp_path)])
 

@@ -241,8 +241,8 @@ def test_streamed_scenario_equals_the_summary_of_every_run(workers):
 
 
 def test_scenario_memory_is_flat_in_the_number_of_runs():
-    # execute_scenario holds one chunk of 10 runs at a time, about 51 KB a
-    # run at n = 1600; holding every run would add about 9 MiB at 200 runs.
+    # execute_scenario holds one chunk of 10 runs at a time, about 38 KB a
+    # run at n = 1600; holding every run would add about 7 MiB at 200 runs.
     def peak(runs):
         tracemalloc.start()
         try:
@@ -261,7 +261,7 @@ def test_summarize_stops_at_the_first_surplus_run():
     # A stream of more runs than config.runs is rejected after the chunk that
     # passes config.runs, not after executing every remaining run.
     n = 1600
-    run = RunResult(np.zeros(n), np.zeros(n, dtype=np.int64), np.zeros(n), np.ones(n))
+    run = RunResult(np.zeros(n, dtype=np.int64), np.zeros(n), np.ones(n), 1.0)
     pulled = 0
 
     def stream():

@@ -293,13 +293,14 @@ def test_ranking_histogram_rejects_what_is_not_a_rank(ranks, message):
 # -- aggregation over runs (summarize_runs) ----------------------------------------
 
 
-def make_run(rewards, factors=(1.0, 1.2, 1.4, 0.9), active=(1.0, 2.0, 3.0, 4.0)) -> RunResult:
-    rewards = np.asarray(rewards, dtype=float)
+def make_run(
+    wins, share=1.0, factors=(1.0, 1.2, 1.4, 0.9), active=(1.0, 2.0, 3.0, 4.0)
+) -> RunResult:
     return RunResult(
-        cumulative_reward=rewards,
-        win_count=np.zeros(rewards.size, dtype=np.int64),
+        win_count=np.asarray(wins, dtype=np.int64),
         active_time=np.asarray(active, dtype=float),
         factors=np.asarray(factors, dtype=float),
+        reward_share=share,
     )
 
 
@@ -328,13 +329,13 @@ def summary_values(summary) -> list[float]:
 
 
 def test_aggregate_single_is_identity():
-    run = make_run([0.0, 10.0, 5.0, 25.0])
+    run = make_run([0, 10, 5, 25])
     assert summary_values(summarize_runs(SUMMARY_CONFIG, [run])) == per_run_values(run)
 
 
 def test_aggregate_averages_fieldwise():
-    a = make_run([0.0, 10.0, 20.0, 590.0])
-    b = make_run([0.0, 0.0, 30.0, 600.0])
+    a = make_run([0, 10, 20, 590])
+    b = make_run([0, 0, 30, 600])
     merged = summarize_runs(replace(SUMMARY_CONFIG, runs=2), [a, b])
     assert merged.reward_stats.max == 595
     assert merged.reward_stats.min == 0
@@ -342,7 +343,7 @@ def test_aggregate_averages_fieldwise():
 
 
 def test_aggregate_mean_of_constant_means():
-    runs = [make_run([10.0 - i, 10.0, 10.0, 10.0 + i]) for i in range(100)]
+    runs = [make_run([10 - i, 10, 10, 10 + i]) for i in range(100)]
     summary = summarize_runs(replace(SUMMARY_CONFIG, runs=100), runs)
     assert summary.reward_stats.mean == pytest.approx(10, rel=1e-12)
 
@@ -351,8 +352,11 @@ def test_aggregate_reals_and_shapes():
     # Every field, shape statistics and reals included, is numpy's mean of
     # the per-run values, bit for bit. Pairwise summation only differs from a
     # running sum past 8 values, so 150 runs pin the order of the additions.
+    # A share of 10 / 3 makes every nonzero reward a non-dyadic real.
     rng = np.random.default_rng(8)
-    runs = [make_run(rng.uniform(0, 100, 4), active=rng.uniform(0, 1e6, 4)) for _ in range(150)]
+    runs = [
+        make_run(rng.integers(0, 100, 4), 10 / 3, active=rng.uniform(0, 1e6, 4)) for _ in range(150)
+    ]
     columns = zip(*(per_run_values(run) for run in runs))
     expected = [float(np.mean(column)) for column in columns]
     assert summary_values(summarize_runs(replace(SUMMARY_CONFIG, runs=150), runs)) == expected
@@ -362,7 +366,7 @@ def test_aggregate_reals_and_shapes():
 def test_summarize_rejects_any_count_but_config_runs(given):
     # A summary of another number of runs than its config says is one that
     # load_bundle rejects, so it is never made.
-    runs = (make_run([0.0, 1.0, 2.0, 3.0]) for _ in range(given))
+    runs = (make_run([0, 1, 2, 3]) for _ in range(given))
     with pytest.raises(ValueError, match=f"got {given} runs for a config of 3 runs"):
         summarize_runs(replace(SUMMARY_CONFIG, runs=3), runs)
 

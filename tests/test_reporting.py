@@ -172,10 +172,12 @@ def test_runs_csv_rejects_runs_of_two_populations():
         execute_runs(ScenarioConfig(participant_count=8, team_size=size, rounds=5, runs=256, master_seed=8))
         for size in (2, 4)
     )
-    # Rewards that are not an increasing function of the wins.
+    # Shares that are not positive and finite: rewards that fall as the wins
+    # grow, and rewards that are NaN.
     run = small[0]
-    reversed_rewards = dataclasses.replace(run, cumulative_reward=-run.cumulative_reward)
-    for runs in (pairs + fours, [reversed_rewards]):
+    reversed_rewards = dataclasses.replace(run, reward_share=-run.reward_share)
+    nan_rewards = dataclasses.replace(run, reward_share=math.nan)
+    for runs in (pairs + fours, [reversed_rewards], [nan_rewards]):
         sink = io.BytesIO()
         with pytest.raises(ValueError, match="one scenario") as raised:
             write_runs_csv(runs, sink)
@@ -266,10 +268,10 @@ def test_runs_csv_memory_does_not_grow_with_the_wins_of_many_runs():
         win_count = rng.permutation(wins)
         runs.append(
             RunResult(
-                cumulative_reward=0.125 * win_count,
                 win_count=win_count,
                 active_time=rng.uniform(1.0, 1e4, 1600),
                 factors=rng.uniform(0.5, 2.0, 1600),
+                reward_share=0.125,
             )
         )
     with open(os.devnull, "wb") as sink:
