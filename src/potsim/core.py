@@ -270,23 +270,37 @@ def form_teams(words: np.ndarray, team_size: int) -> np.ndarray:
 # scratch lets glibc's malloc trim the heap and fault the same pages in
 # again: about 44k page faults, some 15% of the time, in a sweep of 22
 # scenarios of 160 participants x 160 rounds x 20 runs. It holds one block:
-# 128 KiB of flat indices, 128 KiB of gathered times and at most 64 KiB of
-# team times, or above 2**14 participants the three arrays of one round.
-# Team size 1 reads only the flat indices and never touches the other two.
+# 128 KiB each of flat indices, member-major indices and member-major
+# gathered times, and at most 64 KiB of team times, or above 2**14
+# participants the four arrays of one round. Each is one flat buffer, and a
+# block takes C-contiguous prefix views of it, so a partial block is written
+# in place like a whole one. Team size 1 reads only the flat indices.
 _scratch = threading.local()
 
 
 def _block_scratch(rounds: int, team_size: int, team_count: int) -> tuple[np.ndarray, ...]:
-    """This thread's read-only flat indices r * n + i, gathered times and team times."""
-    shape = (rounds, team_size, team_count)
-    buffers = getattr(_scratch, "buffers", None)
-    if buffers is None or buffers[1].shape[1:] != shape[1:] or len(buffers[1]) < rounds:
-        n = team_size * team_count
-        flat = np.arange(rounds * n, dtype=np.uint64).reshape(rounds, n)
+    """This thread's views for one block, each a C-contiguous prefix of a kept buffer.
+
+    Returns the read-only (rounds, n) flat indices r * n + i, the
+    (team_size, rounds, team_count) member-major indices and gathered times,
+    and the (rounds, team_count) team times.
+    """
+    n = team_size * team_count
+    kept = getattr(_scratch, "kept", None)
+    if kept is None or kept[0] != (team_size, team_count) or kept[1][0].size < rounds * n:
+        flat = np.arange(rounds * n, dtype=np.uint64)
         flat.flags.writeable = False
-        buffers = flat, np.empty(shape), np.empty((rounds, team_count))
-        _scratch.buffers = buffers
-    return tuple(buffer[:rounds] for buffer in buffers)
+        buffers = flat, np.empty(rounds * n, dtype=np.int64), np.empty(rounds * n)
+        kept = (team_size, team_count), (*buffers, np.empty(rounds * team_count))
+        _scratch.kept = kept
+    flat, index, gathered, team_times = kept[1]
+    block = (team_size, rounds, team_count)
+    return (
+        flat[: rounds * n].reshape(rounds, n),
+        index[: rounds * n].reshape(block),
+        gathered[: rounds * n].reshape(block),
+        team_times[: rounds * team_count].reshape(rounds, team_count),
+    )
 
 
 def execute_round(teams: np.ndarray, member_times: np.ndarray) -> np.ndarray:
@@ -295,28 +309,36 @@ def execute_round(teams: np.ndarray, member_times: np.ndarray) -> np.ndarray:
     ``member_times`` holds the block's member times, row r by participant id
     for round r, and ``teams`` is the block's ``form_teams`` result: flat
     indices r * n + i into ``member_times``, team t of round r being column
-    t of ``teams[r]``. A team's time is the sum down its column, added
-    member by member, and the winner is the argmin, which also breaks the
-    measure-zero ties toward the lowest index. Round r's winning members are
-    ``teams[r, :, winners[r]] - r * n``. A ``teams`` block whose last round
-    indexes past ``member_times`` raises ValueError.
+    t of ``teams[r]``. The times are gathered member-major, slot by slot
+    into a (team_size, rounds, team_count) scratch, and summed down its
+    first axis, so a team's time is added slot 0 first, one member at a
+    time, over contiguous rows of every round's teams at once. The winner
+    is the argmin, which also breaks the measure-zero ties toward the lowest
+    index. Round r's winning members are ``teams[r, :, winners[r]] - r * n``.
+    A ``teams`` block that indexes below 0 or past ``member_times`` raises
+    ValueError.
     """
-    if len(teams) and teams[-1].max() >= member_times.size:
-        # A block's largest indices are in its last round; one past the
-        # times means ``teams`` and ``member_times`` are of different blocks.
+    if len(teams) and (teams[0].min() < 0 or teams[-1].max() >= member_times.size):
+        # A block's smallest indices are in its first round and its largest
+        # in its last; one outside the times means ``teams`` and
+        # ``member_times`` are of different blocks.
         raise ValueError(
-            f"teams of {len(teams)} rounds index past member times of shape "
+            f"teams of {len(teams)} rounds index outside member times of shape "
             f"{member_times.shape}: pass a whole form_teams block and its times"
         )
     if teams.shape[1] == 1:
         # Single-member teams are ``form_teams``' identity: team t is
         # participant t, so the winner is the argmin of the times as they are.
         return member_times.argmin(axis=1)
-    _, gathered, team_times = _block_scratch(len(member_times), *teams.shape[1:])
+    _, index, gathered, team_times = _block_scratch(len(member_times), *teams.shape[1:])
+    # ``take`` would copy the strided transpose into a fresh temporary every
+    # block, which glibc can trim from the heap top and fault in again: up to
+    # 31k page faults in one pass of the sweep above. The kept index is not.
+    np.copyto(index, teams.transpose(1, 0, 2))
     # Every index is in range, as checked above, so "clip" moves none; unlike
     # the default "raise", it writes into ``out`` without a temporary copy.
-    member_times.take(teams, out=gathered, mode="clip")
-    return np.add.reduce(gathered, axis=1, out=team_times).argmin(axis=1)
+    member_times.take(index, out=gathered, mode="clip")
+    return np.add.reduce(gathered, axis=0, out=team_times).argmin(axis=1)
 
 
 def run_simulation(
@@ -362,7 +384,9 @@ def run_simulation(
         member_times += offset
         teams = form_teams(words, config.team_size)
         winners = execute_round(teams, member_times)
-        winning_members = teams[np.arange(rounds), :, winners] % n
+        # Subtracting each round's offset r * n is cheaper than an int64 modulo.
+        offsets = np.arange(0, rounds * n, n)[:, None]
+        winning_members = teams[np.arange(rounds), :, winners] - offsets
         win_count += np.bincount(winning_members.ravel(), minlength=n)
         # Add the block to the totals round after round, with no temporary:
         # the totals go into row 0, and the reduction down the rows adds one

@@ -355,9 +355,14 @@ def test_execute_round_rejects_teams_of_another_block():
     teams = form_teams(raw_words(5, 3, 8), 2)
     member_times = np.random.default_rng(6).uniform(50.0, 150.0, (3, 8))
     assert execute_round(teams, member_times)[2] == 3
-    with pytest.raises(ValueError, match="index past member times"):
+    with pytest.raises(ValueError, match="index outside member times"):
         execute_round(teams[2:3], member_times[2:3])
     assert execute_round(teams[2:3] - 16, member_times[2:3]).tolist() == [3]
+    # A negative index was clipped to participant 0 just as silently: round 0
+    # shifted down by 5 read winner 0 where the round's winner is 2.
+    assert execute_round(teams, member_times)[0] == 2
+    with pytest.raises(ValueError, match="index outside member times"):
+        execute_round(teams[0:1] - 5, member_times[0:1])
 
 
 @pytest.mark.parametrize(
@@ -384,6 +389,16 @@ def test_block_scratch_is_kept_per_thread():
     with ThreadPoolExecutor(max_workers=1) as pool:
         there = pool.submit(core._block_scratch, 102, 4, 40).result(timeout=60)
     assert not any(np.shares_memory(a, b) for a, b in zip(here, there))
+
+
+def test_partial_block_scratch_is_contiguous():
+    # A partial block's arrays must be C-contiguous: a strided index or
+    # ``out=`` makes numpy's take and reduce copy through a temporary.
+    whole = core._block_scratch(102, 4, 40)
+    part = core._block_scratch(58, 4, 40)
+    assert [view.shape for view in part] == [(58, 160), (4, 58, 40), (4, 58, 40), (58, 40)]
+    assert all(view.flags.c_contiguous for view in part)
+    assert all(np.shares_memory(a, b) for a, b in zip(whole, part))
 
 
 def test_threads_running_at_once_match_serial_runs():
@@ -551,13 +566,16 @@ def test_two_team_win_frequencies_follow_the_exact_law(factors, run_seed):
         (160, 160, 7, False),
         (1, 1, 40, False),
         (65536, 2048, 3, False),
+        (1600, 64, 25, False),
     ],
 )
 def test_run_matches_contract_v4_oracle(participants, team_size, rounds, shared):
     # Large populations cross several blocks of rounds (and end in a partial
     # one); the oracle draws round by round, so equality shows that no
     # output depends on the block length. At 160 participants a block is 102
-    # rounds, so 160 rounds end in a partial second block; a single
+    # rounds, so 160 rounds end in a partial second block. At 1600
+    # participants in teams of 64, 25 rounds are blocks of 10, 10 and 5 rounds
+    # of 25 teams, the paper-scale shape summed member-major; a single
     # participant's 40 rounds are added to its total in one block. At 65536
     # participants about half the rounds tie, and this seed ties round 1
     # only, so the run takes the seeded fallback between two sorted rounds.
