@@ -74,8 +74,8 @@ _CONDITION_ORDINAL = {Condition.HOMOGENEOUS: 0, Condition.HIGH_PERF: 1}
 class SweepSpec:
     """A team-size sweep over one base configuration and a set of conditions.
 
-    ``configs`` holds one ``scenario_config`` per (condition, team size)
-    pair, condition-major, each checked by ``ScenarioConfig`` as it is built.
+    ``configs`` holds one ``scenario_config`` per (condition, team size) pair,
+    condition-major, each checked by ``scenario_config`` as it is built.
     """
 
     base_config: ScenarioConfig
@@ -92,12 +92,6 @@ class SweepSpec:
             raise ConfigurationError(f"sweep team sizes repeat: {list(self.team_sizes)}")
         if len(set(self.conditions)) != len(self.conditions):
             raise ConfigurationError(f"sweep conditions repeat: {','.join(self.conditions)}")
-        if Condition.HIGH_PERF in self.conditions and (
-            self.base_config.high_perf_override is None
-        ):
-            raise ConfigurationError(
-                "high_perf condition requires high_perf_override in the base config"
-            )
         configs = [
             scenario_config(self.base_config, n, condition)
             for condition in self.conditions
@@ -170,13 +164,19 @@ def _shared_factors(config: ScenarioConfig) -> np.ndarray | None:
     return draw_performance_profile(config, stream)
 
 
+def _pool_size(workers: int, runs: int) -> int:
+    """Processes that execute ``runs`` runs at ``workers``: at most one per run and per CPU."""
+    return min(workers, runs, os.cpu_count() or 1)
+
+
 def run_chunks(config: ScenarioConfig, workers: int = 1) -> list[range]:
     """The run-index ranges a scenario is executed and summarized in, in order.
 
-    At one worker each holds ``max(1, 2**14 // n)`` runs, (runs, n) tables of at most the
-    engine's block; above one worker one range holds every run, so a scenario starts one pool.
+    Serially each holds ``max(1, 2**14 // n)`` runs, (runs, n) tables of at most the engine's
+    block; when ``_pool_size`` exceeds one, one range holds every run and starts one pool.
     """
-    size = config.runs if workers > 1 else max(1, _BLOCK_ELEMENTS // config.participant_count)
+    pooled = _pool_size(workers, config.runs) > 1
+    size = config.runs if pooled else max(1, _BLOCK_ELEMENTS // config.participant_count)
     return [range(first, min(first + size, config.runs)) for first in range(0, config.runs, size)]
 
 
@@ -186,17 +186,17 @@ def execute_runs(
     """Execute the runs numbered by ``indices`` (default: all config.runs), ordered by index.
 
     A run depends only on config and its index, so runs executed a range at a
-    time equal the runs of one call. ``workers`` > 1 fans runs out over a
-    process pool of at most one process per run and per CPU, in about four
-    batches of runs per process, so every process gets runs; results are
-    identical at any worker count.
+    time equal the runs of one call. When ``_pool_size`` gives more than one
+    process, the runs fan out over a process pool of that size in about four
+    batches per process, so every process gets runs; results are identical at
+    any worker count.
     """
     shared = _shared_factors(config)
     tasks = [
         (config, derive_run_seed(config.master_seed, index), shared)
         for index in (range(config.runs) if indices is None else indices)
     ]
-    workers = min(workers, len(tasks), os.cpu_count() or 1)
+    workers = _pool_size(workers, len(tasks))
     if workers <= 1:
         return [_run_task(task) for task in tasks]
     # Imported here: the pool pulls in multiprocessing, socket and subprocess,
@@ -281,18 +281,17 @@ def scenario_config(
 
     The scenario master seed is a pure function of (base seed, team size,
     condition), so scenarios are mutually independent and insensitive to
-    sweep ordering. ``ScenarioConfig`` checks the entry before its seed is
-    derived, since the derivation rejects a negative team size with a plain
-    ``ValueError``.
+    sweep ordering. A high_perf entry needs the base's override. ``ScenarioConfig``
+    checks the entry before its seed is derived, since the derivation rejects
+    a negative team size with a plain ``ValueError``.
     """
     override = base.high_perf_override if condition is Condition.HIGH_PERF else None
+    if condition is Condition.HIGH_PERF and override is None:
+        raise ConfigurationError(
+            "high_perf condition requires high_perf_override in the base config"
+        )
     config = replace(base, team_size=team_size, high_perf_override=override)
     seed = derive_run_seed(
         derive_run_seed(base.master_seed, team_size), _CONDITION_ORDINAL[condition]
     )
     return replace(config, master_seed=seed)
-
-
-def sweep_team_sizes(spec: SweepSpec, workers: int = 1) -> list[ScenarioSummary]:
-    """One ScenarioSummary per (condition, team size) pair, in the given order."""
-    return [execute_scenario(config, workers=workers) for config in spec.configs]

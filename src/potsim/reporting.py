@@ -81,13 +81,10 @@ SHAPE_TOLERANCES: dict[str, dict[str, tuple[float, float]]] = {
 }
 
 
-def scenario_label(team_size: int) -> str:
-    """Scenario display label: team size 1 is the classic PoW race."""
-    return "PoW" if team_size == 1 else f"PoTS ({team_size})"
-
-
 def summary_label(summary: ScenarioSummary) -> str:
-    return scenario_label(summary.config_echo.team_size)
+    """Scenario display label: team size 1 is the classic PoW race."""
+    team_size = summary.config_echo.team_size
+    return "PoW" if team_size == 1 else f"PoTS ({team_size})"
 
 
 def emission_timestamp() -> str:
@@ -344,15 +341,17 @@ def write_bundle(
     All go through one ``write_files``, and the manifest replaces its old
     version last.
     """
+    names = [_summary_filename(summary) for summary in summaries]
+    # Two summaries of one condition and team size would share a file: nothing is written.
+    if len(set(names)) < len(names):
+        raise ValueError(f"summaries must name distinct files, got {names}")
     out_dir = Path(out_dir)
     summaries_dir = out_dir / "summaries"
     summaries_dir.mkdir(parents=True, exist_ok=True)
-    names = [_summary_filename(summary) for summary in summaries]
-    # A sweep rejects a repeated team size or condition, so every summary names its own file.
-    files = {
-        summaries_dir / name: json_bytes(summary_to_dict(summary))
+    files = [
+        (summaries_dir / name, json_bytes(summary_to_dict(summary)))
         for name, summary in zip(names, summaries)
-    }
+    ]
     manifest = {
         "tool": TOOL_NAME,
         "version": __version__,
@@ -362,7 +361,7 @@ def write_bundle(
         "summaries": names,
         "runs_csv": runs_csv,
     }
-    write_files([(out_dir / "manifest.json", json_bytes(manifest)), *files.items()])
+    write_files([(out_dir / "manifest.json", json_bytes(manifest)), *files])
 
 
 def _no_constant(name: str):

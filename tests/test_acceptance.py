@@ -27,7 +27,6 @@ from potsim.experiments import (
     Condition,
     SweepSpec,
     execute_scenario,
-    sweep_team_sizes,
 )
 from potsim.reporting import REFERENCE_TABLES, emit_table
 
@@ -57,7 +56,7 @@ def paper_sweep(condition: Condition, **overrides) -> dict:
         team_sizes=PAPER_TEAM_SIZES,
         conditions=(condition,),
     )
-    summaries = sweep_team_sizes(spec, workers=WORKERS)
+    summaries = [execute_scenario(config, workers=WORKERS) for config in spec.configs]
     return {s.config_echo.team_size: s for s in summaries}
 
 

@@ -19,7 +19,6 @@ from potsim.experiments import (
     run_chunks,
     scenario_config,
     summarize_runs,
-    sweep_team_sizes,
 )
 from potsim.reporting import summary_label
 
@@ -218,10 +217,32 @@ def test_summarize_calls_each_statistic_once_per_chunk(monkeypatch, participants
         (20000, 2, 1, [range(0, 1), range(1, 2)]),
     ],
 )
-def test_run_chunks(participants, runs, workers, chunks):
-    # 2**14 // n runs at a time at one worker, every run at once above it.
+def test_run_chunks(monkeypatch, participants, runs, workers, chunks):
+    # 2**14 // n runs at a time run serially, every run at once in a pool.
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
     cfg = ScenarioConfig(participant_count=participants, team_size=1, rounds=1, runs=runs)
     assert run_chunks(cfg, workers) == chunks
+
+
+def test_run_chunks_on_one_cpu_are_serial_at_any_worker_count(monkeypatch):
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 1)
+    cfg = ScenarioConfig(participant_count=1600, team_size=1, rounds=1, runs=25)
+    assert run_chunks(cfg, 2) == [range(0, 10), range(10, 20), range(20, 25)]
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 8])
+@pytest.mark.parametrize("runs", [1, 2, 25])
+@pytest.mark.parametrize("workers", [1, 2, 8])
+def test_a_scenario_is_one_range_only_when_pooled(monkeypatch, serial_pool, cpus, runs, workers):
+    # run_chunks and execute_runs read one pool-size rule: a scenario is one
+    # range when its runs start a pool, and the serial ranges otherwise.
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
+    cfg = ScenarioConfig(participant_count=1600, team_size=8, rounds=1, runs=runs)
+    execute_runs(cfg, workers)
+    if serial_pool:
+        assert run_chunks(cfg, workers) == [range(runs)]
+    else:
+        assert run_chunks(cfg, workers) == run_chunks(cfg, 1)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -240,21 +261,25 @@ def test_streamed_scenario_equals_the_summary_of_every_run(workers):
         assert [r.win_count.tolist() for r in runs] == [r.win_count.tolist() for r in expected]
 
 
-def test_scenario_memory_is_flat_in_the_number_of_runs():
+def test_scenario_memory_is_flat_in_the_number_of_runs(monkeypatch):
     # execute_scenario holds one chunk of 10 runs at a time, about 38 KB a
     # run at n = 1600; holding every run would add about 7 MiB at 200 runs.
-    def peak(runs):
+    # On one CPU, two workers run serially too, so they also hold one chunk.
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 1)
+
+    def peak(runs, workers):
         tracemalloc.start()
         try:
             execute_scenario(
-                ScenarioConfig(participant_count=1600, team_size=8, rounds=2, runs=runs)
+                ScenarioConfig(participant_count=1600, team_size=8, rounds=2, runs=runs), workers
             )
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    peak(1)
-    assert peak(200) - peak(20) <= 0.5 * 2**20
+    peak(1, 1)
+    for workers in (1, 2):
+        assert peak(200, workers) - peak(20, workers) <= 0.5 * 2**20
 
 
 def test_summarize_stops_at_the_first_surplus_run():
@@ -297,7 +322,7 @@ def test_singleton_sweep_is_pow():
         base_config=base_sweep_config(high_perf_override=None),
         team_sizes=(1,),
     )
-    summaries = sweep_team_sizes(spec)
+    summaries = [execute_scenario(config) for config in spec.configs]
     assert len(summaries) == 1
     assert summary_label(summaries[0]) == "PoW"
 
@@ -321,12 +346,12 @@ def test_sweep_rejects_indivisible_before_running():
 
 
 def test_high_perf_condition_requires_override():
+    base = base_sweep_config(high_perf_override=None)
     with pytest.raises(ConfigurationError, match="override"):
-        SweepSpec(
-            base_config=base_sweep_config(high_perf_override=None),
-            team_sizes=(1, 2),
-            conditions=(Condition.HIGH_PERF,),
-        )
+        SweepSpec(base_config=base, team_sizes=(1, 2), conditions=(Condition.HIGH_PERF,))
+    for team_size in (1, 2):
+        with pytest.raises(ConfigurationError, match="override"):
+            scenario_config(base, team_size, Condition.HIGH_PERF)
 
 
 def test_sweep_covers_condition_and_size_grid():
@@ -335,7 +360,7 @@ def test_sweep_covers_condition_and_size_grid():
         team_sizes=(1, 2, 4),
         conditions=(Condition.HOMOGENEOUS, Condition.HIGH_PERF),
     )
-    summaries = sweep_team_sizes(spec)
+    summaries = [execute_scenario(config) for config in spec.configs]
     assert len(summaries) == 6
     homogeneous, high_perf = summaries[:3], summaries[3:]
     assert all(s.config_echo.high_perf_override is None for s in homogeneous)
@@ -347,7 +372,7 @@ def test_sweep_covers_condition_and_size_grid():
 
 def test_sweep_reproducible():
     spec = SweepSpec(base_config=base_sweep_config(), team_sizes=(1, 2))
-    assert sweep_team_sizes(spec) == sweep_team_sizes(spec)
+    assert list(map(execute_scenario, spec.configs)) == list(map(execute_scenario, spec.configs))
 
 
 def test_scenario_seeds_independent_of_sweep_order():
@@ -365,7 +390,7 @@ def test_energy_scaling_across_sweep(ci_config):
     spec = SweepSpec(
         base_config=ci_config, team_sizes=(1, 2, 4, 8), conditions=(Condition.HOMOGENEOUS,)
     )
-    summaries = sweep_team_sizes(spec, workers=2)
+    summaries = [execute_scenario(config, workers=2) for config in spec.configs]
     scaled = [
         s.total_active_time_mean * s.config_echo.team_size for s in summaries
     ]

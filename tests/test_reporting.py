@@ -26,8 +26,8 @@ from potsim.experiments import (
     Condition,
     SweepSpec,
     execute_runs,
+    execute_scenario,
     summarize_runs,
-    sweep_team_sizes,
 )
 from potsim.reporting import (
     REFERENCE_TABLES,
@@ -37,8 +37,8 @@ from potsim.reporting import (
     json_bytes,
     load_bundle,
     render_delta_report,
-    scenario_label,
     summary_from_dict,
+    summary_label,
     summary_to_dict,
     write_bundle,
     write_runs_csv,
@@ -60,7 +60,8 @@ def sweep_summaries(conditions=(Condition.HOMOGENEOUS,), team_sizes=(1, 2, 4)):
         master_seed=13,
         high_perf_override=(20, 2.5),
     )
-    return sweep_team_sizes(SweepSpec(base_config=base, team_sizes=team_sizes, conditions=conditions))
+    spec = SweepSpec(base_config=base, team_sizes=team_sizes, conditions=conditions)
+    return [execute_scenario(config) for config in spec.configs]
 
 
 # -- participant CSV -------------------------------------------------------------
@@ -365,9 +366,9 @@ def test_runs_csv_write_failure_is_wrapped():
 # -- tables ------------------------------------------------------------------------
 
 
-def test_scenario_labels():
-    assert scenario_label(1) == "PoW"
-    assert scenario_label(64) == "PoTS (64)"
+def test_summary_labels():
+    labels = [summary_label(s) for s in sweep_summaries(team_sizes=(1, 32))]
+    assert labels == ["PoW", "PoTS (32)"]
 
 
 def test_rewards_table_layout():
@@ -443,7 +444,7 @@ def test_shape_table_flags_out_of_tolerance_rows():
 def test_shape_table_leaves_undefined_statistics_unflagged():
     # Zero rounds leave every reward equal, so skewness and kurtosis are NaN.
     base = ScenarioConfig(participant_count=32, team_size=1, rounds=0, runs=2)
-    summaries = sweep_team_sizes(SweepSpec(base_config=base, team_sizes=(1,)))
+    summaries = [execute_scenario(base)]
     row = emit_table(summaries, "shape")["rows"][0]
     assert row["scenario"] == "PoW" and math.isnan(row["skewness"])
     assert "flagged" not in row
@@ -506,7 +507,7 @@ def test_summary_dict_round_trip():
     sweep = parse_and_validate(
         ["sweep", "--ci-scale", "--high-perf-id", "100", "--team-sizes", "1,2,4,5,8,10,16,20,32,40,80"]
     ).sweep
-    summaries = sweep_team_sizes(sweep)
+    summaries = [execute_scenario(config) for config in sweep.configs]
     zero_rounds = ScenarioConfig(participant_count=4, team_size=2, rounds=0, runs=3)
     summaries.append(summarize_runs(zero_rounds, execute_runs(zero_rounds)))
     assert len(summaries) == 23 and math.isnan(summaries[-1].correlation)
@@ -538,6 +539,17 @@ def test_bundle_write_and_load(tmp_path):
         "homogeneous_n001.json",
         "homogeneous_n002.json",
     ]
+
+
+def test_bundle_of_two_summaries_with_one_file_name_writes_nothing(tmp_path):
+    # Populations of 8 and 16 at team size 2 both name homogeneous_n002.json.
+    summaries = [
+        execute_scenario(ScenarioConfig(participant_count=n, team_size=2, rounds=3, runs=1))
+        for n in (8, 16)
+    ]
+    with pytest.raises(ValueError, match="distinct files"):
+        write_bundle(tmp_path / "out", "sweep", summaries, summaries[0].config_echo)
+    assert not (tmp_path / "out").exists()
 
 
 def test_load_bundle_missing_manifest(tmp_path):

@@ -4,7 +4,8 @@
 up, so a refactor that moves or renames one breaks ``perfbench/run.py
 --trace``, and one that stops calling it through that module leaves its
 per-layer metrics at zero. These tests read that file and check that every
-name still resolves and that a traced command records every span.
+name still resolves and that a traced command records every span. The
+benchmark also reads a sweep's fields, which the last test pins.
 """
 
 from __future__ import annotations
@@ -12,7 +13,8 @@ from __future__ import annotations
 import importlib.util
 from pathlib import Path
 
-from potsim.cli import entrypoint
+from potsim.cli import entrypoint, parse_and_validate
+from potsim.experiments import scenario_config
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -48,3 +50,16 @@ def test_every_traced_name_is_called(tmp_path):
         tracer.uninstall(patches)
     recorded = {span[0] for span in tracer.spans}
     assert {name for _, _, name, _ in tracing._layer_calls()} - recorded == set()
+
+
+def test_sweep_fields_the_benchmark_reads_rebuild_the_configs():
+    # perfbench/run.py's fanout_overhead rebuilds a sweep's configs from these
+    # fields with scenario_config, so renaming any of them breaks --trace.
+    argv = ["sweep", "--ci-scale", "--high-perf-id", "100", "--team-sizes", "1,2,4"]
+    spec = parse_and_validate(argv).sweep
+    configs = [
+        scenario_config(spec.base_config, size, condition)
+        for condition in spec.conditions
+        for size in spec.team_sizes
+    ]
+    assert len(configs) == 6 and tuple(configs) == spec.configs
